@@ -11,11 +11,6 @@
 //	ldmo-bench -exp ablation          # selection-policy ablation
 //	ldmo-bench -exp parbench          # serial-vs-parallel OracleSelect,
 //	                                  # emits BENCH_parallel.json
-//	ldmo-bench -exp fftbench          # complex-vs-real spectral engine A/B
-//	                                  # plus scalar-vs-AVX kernel A/B on
-//	                                  # amd64, emits BENCH_fft.json
-//	ldmo-bench -exp nnbench           # naive-vs-blocked NN compute core A/B,
-//	                                  # emits BENCH_nn.json
 //	ldmo-bench -exp pipebench         # stage-at-a-time vs pipelined flow,
 //	                                  # emits BENCH_pipeline.json
 //	ldmo-bench -exp servebench        # job-service latency/throughput/shed
@@ -58,7 +53,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1, fig1b, fig1c, fig7, fig8, ablation, parbench, fftbench, nnbench, pipebench, servebench, factorybench, warmbench, all")
+	exp := flag.String("exp", "all", "experiment: table1, fig1b, fig1c, fig7, fig8, ablation, parbench, pipebench, servebench, factorybench, warmbench, all")
 	fast := flag.Bool("fast", false, "coarse raster and reduced training budget")
 	modelPath := flag.String("model", "", "path to a trained predictor (optional)")
 	seed := flag.Int64("seed", 1, "random seed")
@@ -114,7 +109,7 @@ func main() {
 			run(name)
 			fmt.Println()
 		}
-	case "table1", "fig1b", "fig1c", "fig7", "fig8", "ablation", "parbench", "fftbench", "nnbench", "pipebench", "servebench", "factorybench", "warmbench":
+	case "table1", "fig1b", "fig1c", "fig7", "fig8", "ablation", "parbench", "pipebench", "servebench", "factorybench", "warmbench":
 		run(*exp)
 	default:
 		fatalf("unknown experiment %q", *exp)
@@ -171,40 +166,6 @@ func runExperiment(name string, opt experiments.Options, outDir string, w io.Wri
 			return err
 		}
 		a.Render(w)
-	case "fftbench":
-		b, err := experiments.RunFFTBench(opt)
-		if err != nil {
-			return err
-		}
-		b.Render(w)
-		path := "BENCH_fft.json"
-		if outDir != "" {
-			if err := os.MkdirAll(outDir, 0o755); err != nil {
-				return err
-			}
-			path = filepath.Join(outDir, path)
-		}
-		if err := b.WriteJSON(path); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", path)
-	case "nnbench":
-		b, err := experiments.RunNNBench(opt)
-		if err != nil {
-			return err
-		}
-		b.Render(w)
-		path := "BENCH_nn.json"
-		if outDir != "" {
-			if err := os.MkdirAll(outDir, 0o755); err != nil {
-				return err
-			}
-			path = filepath.Join(outDir, path)
-		}
-		if err := b.WriteJSON(path); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", path)
 	case "pipebench":
 		b, err := experiments.RunPipelineBench(opt)
 		if err != nil {

@@ -17,7 +17,9 @@
 // net instead of the printability predictor: (cold mask, optimized field)
 // pairs are harvested with the same sampling pipeline (or loaded from a
 // dataset extracted by `ldmo-factory -warm`), and the resulting checkpoint
-// plugs into `ldmo-serve -warmstart` and `ldmo -warmstart`.
+// plugs into `ldmo-serve -warmstart`, which applies it to jobs submitted
+// with "warm": true (library code loads it with model.LoadWarmStarter and
+// sets core.Config.WarmStarter).
 //
 // With -checkpoint, labeled-layout shards and the training trajectory are
 // written atomically as they complete; SIGINT/SIGTERM (or -deadline) stops

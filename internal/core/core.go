@@ -64,32 +64,21 @@ type Config struct {
 	// WarmStarter, when non-nil, seeds every ILT run with a learned
 	// quasi-optimized mask field and enables the convergence-aware early
 	// stop, so saved iterations become saved wall-clock and model-seconds.
-	// The whole path is additionally gated by LDMO_WARMSTART (see
-	// ilt.WarmEnabled): with the gate off — or this field nil — the flow is
-	// bitwise identical to the cold flow. *model.WarmStarter implements the
-	// interface and is safe to share across concurrent layout runs.
+	// Nil keeps the flow bitwise identical to the cold flow.
+	// *model.WarmStarter implements the interface and is safe to share
+	// across concurrent layout runs.
 	WarmStarter ilt.Initializer
-	// WarmWindow and WarmTol override the early-stop plateau parameters
-	// used with WarmStarter; zero selects ilt.DefaultConvergeWindow and
-	// ilt.DefaultConvergeTol.
-	WarmWindow int
-	WarmTol    float64
 }
 
 // warmed applies the configured warm starter to an ILT config: candidate
 // runs get the initializer plus the convergence early stop. A nil
-// WarmStarter returns cfg untouched — the env gate itself lives in ilt, so
-// there is exactly one enforcement point for the off-path.
+// WarmStarter returns cfg untouched.
 func (c Config) warmed(iltCfg ilt.Config) ilt.Config {
 	if c.WarmStarter == nil {
 		return iltCfg
 	}
 	iltCfg.Init = c.WarmStarter
-	iltCfg.ConvergeWindow = c.WarmWindow
-	if iltCfg.ConvergeWindow <= 0 {
-		iltCfg.ConvergeWindow = ilt.DefaultConvergeWindow
-	}
-	iltCfg.ConvergeTol = c.WarmTol
+	iltCfg.ConvergeWindow = ilt.DefaultConvergeWindow
 	return iltCfg
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"ldmo/internal/grid"
-	"ldmo/internal/ilt"
 	"ldmo/internal/layout"
 )
 
@@ -24,82 +23,9 @@ func (s *shiftInit) WarmMasksInto(c1, c2 *grid.Grid, w1, w2 []float64) bool {
 	return true
 }
 
-// TestFlowWarmOffBitwiseGolden is the off-path acceptance golden: with
-// LDMO_WARMSTART=off, a flow carrying a configured warm-starter makes exactly
-// the decisions — and produces exactly the bytes — of a flow that has never
-// heard of warm-starting. EPE counts, verdicts, the chosen decomposition, the
-// OracleSelect ranking, and every mask pixel must match bitwise.
-func TestFlowWarmOffBitwiseGolden(t *testing.T) {
-	t.Setenv(ilt.EnvWarm, "off")
-	for _, cellName := range []string{"INV_X1", "AOI211_X1"} {
-		cell, err := layout.Cell(cellName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plain := fastConfig()
-		warm := fastConfig()
-		init := &shiftInit{}
-		warm.WarmStarter = init
-		warm.WarmWindow = 4
-		warm.WarmTol = 0.05
-
-		ref, err := NewFlow(nil, plain).Run(cell)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := NewFlow(nil, warm).Run(cell)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if init.calls != 0 {
-			t.Fatalf("%s: warm-starter invoked %d times with the gate off", cellName, init.calls)
-		}
-		if got.Chosen.Key() != ref.Chosen.Key() {
-			t.Errorf("%s: chose %q with warm config, %q without", cellName, got.Chosen.Key(), ref.Chosen.Key())
-		}
-		if got.Attempts != ref.Attempts || got.Candidates != ref.Candidates {
-			t.Errorf("%s: attempts/candidates %d/%d vs %d/%d",
-				cellName, got.Attempts, got.Candidates, ref.Attempts, ref.Candidates)
-		}
-		if got.ILT.EPE.Violations != ref.ILT.EPE.Violations ||
-			got.ILT.EPE.MaxAbs != ref.ILT.EPE.MaxAbs ||
-			got.ILT.Violations != ref.ILT.Violations ||
-			got.ILT.L2 != ref.ILT.L2 || got.ILT.Iters != ref.ILT.Iters {
-			t.Errorf("%s: verdicts differ: EPE %d/%v vs %d/%v, viol %v vs %v, L2 %v vs %v, iters %d vs %d",
-				cellName, got.ILT.EPE.Violations, got.ILT.EPE.MaxAbs,
-				ref.ILT.EPE.Violations, ref.ILT.EPE.MaxAbs,
-				got.ILT.Violations, ref.ILT.Violations,
-				got.ILT.L2, ref.ILT.L2, got.ILT.Iters, ref.ILT.Iters)
-		}
-		if got.Seconds != ref.Seconds {
-			t.Errorf("%s: simclock %v vs %v", cellName, got.Seconds, ref.Seconds)
-		}
-		for i := range ref.ILT.M1.Data {
-			if got.ILT.M1.Data[i] != ref.ILT.M1.Data[i] || got.ILT.M2.Data[i] != ref.ILT.M2.Data[i] {
-				t.Fatalf("%s: mask pixel %d differs with the gate off", cellName, i)
-			}
-		}
-
-		// OracleSelect makes the same pick under the same gate.
-		dRef, sRef, err := OracleSelect(cell, plain, 1, 3500, 8000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dGot, sGot, err := OracleSelect(cell, warm, 1, 3500, 8000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dGot.Key() != dRef.Key() || sGot.L2 != sRef.L2 || sGot.EPE.Violations != sRef.EPE.Violations {
-			t.Errorf("%s: OracleSelect %q (L2 %v, EPE %d) with warm config vs %q (L2 %v, EPE %d) without",
-				cellName, dGot.Key(), sGot.L2, sGot.EPE.Violations, dRef.Key(), sRef.L2, sRef.EPE.Violations)
-		}
-	}
-}
-
-// TestFlowWarmStarterEngaged pins the on-path: with the gate open (default)
-// the configured warm-starter is consulted and the winning run is tagged.
+// TestFlowWarmStarterEngaged pins the on-path: the configured warm-starter is
+// consulted and the winning run is tagged.
 func TestFlowWarmStarterEngaged(t *testing.T) {
-	t.Setenv(ilt.EnvWarm, "on")
 	cell, err := layout.Cell("INV_X1")
 	if err != nil {
 		t.Fatal(err)

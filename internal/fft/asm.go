@@ -1,37 +1,23 @@
 package fft
 
-import "os"
-
 // Vector-engine selection. The hot loops of the spectral engine — butterfly
 // stages, pointwise complex multiplies, and the half-spectrum
 // untangle/repack — have amd64 AVX forms (asm_amd64.s) that are
 // bit-identical to the scalar Go reference on finite inputs: products use
 // separate mul and add (no FMA), every element's accumulation order is
-// unchanged, and only commutative additions are reordered. The scalar code
-// is the reference implementation and the only path on non-amd64 or
-// pre-AVX2 hosts; LDMO_FFT_ASM=off forces it everywhere, which is how CI
-// keeps the fallback from rotting and how benchmarks A/B the two engines.
+// unchanged, and only commutative additions are reordered. The engine is
+// chosen by the CPU probe alone: the vector kernels run wherever the host
+// can run them, and the scalar code is the only path on non-amd64 or
+// pre-AVX2 hosts. The package's tests build scalar plans next to vector ones
+// and compare them bit for bit; a 386 build of the tests exercises the
+// scalar engine end to end.
 
-// EnvASM selects the butterfly/pointwise kernel implementation: the default
-// is the vector (amd64 AVX) engine where the host supports it; setting
-// LDMO_FFT_ASM=off forces the pure-Go scalar reference engine. Plans capture
-// the engine at construction (it is part of the plan-cache key), so a flip
-// only affects plans built afterwards.
-const EnvASM = "LDMO_FFT_ASM"
-
-// ASMOff is the EnvASM value forcing the scalar reference engine.
-const ASMOff = "off"
-
-// ASMAvailable reports whether this host can run the vector kernels at all
+// ASMEnabled reports whether the vector engine is in effect on this host
 // (amd64 with AVX2 and OS-saved YMM state).
-func ASMAvailable() bool { return haveFFTASM }
-
-// ASMEnabled reports whether the vector engine is in effect right now:
-// available on this host and not disabled via LDMO_FFT_ASM=off.
-func ASMEnabled() bool { return vecEnabled() }
+func ASMEnabled() bool { return haveFFTASM }
 
 // CPUFeatures lists the detected vector capabilities ("avx", "avx2") for
-// bench records, so BENCH_fft.json numbers are interpretable across hosts.
+// bench records, so timing numbers are interpretable across hosts.
 func CPUFeatures() []string {
 	var f []string
 	if haveAVX {
@@ -42,12 +28,6 @@ func CPUFeatures() []string {
 	}
 	return f
 }
-
-// vecEnabled is the per-call dispatch read. Package-level entry points
-// (FFT, IFFT, AccumulateConj, MulConj) consult it directly; Plans read it
-// once at construction so a plan's transforms, spectra, and cache identity
-// stay engine-consistent for the plan's lifetime.
-func vecEnabled() bool { return haveFFTASM && os.Getenv(EnvASM) != ASMOff }
 
 // cmulInto computes dst[i] = a[i] * b[i] on the vector engine, peeling the
 // odd tail bin to the scalar expression. Callers guarantee equal lengths.

@@ -9,7 +9,7 @@ package fft
 var haveAVX, haveAVX2 = cpuFeatureProbe()
 
 // haveFFTASM reports whether the vector spectral kernels can run on this
-// host; LDMO_FFT_ASM=off still disables them (see vecEnabled).
+// host, which is exactly when they do run (see asm.go).
 var haveFFTASM = haveAVX && haveAVX2
 
 // cpuFeatureProbe reports CPU+OS support for 256-bit AVX (CPUID feature

@@ -15,7 +15,7 @@ import (
 
 func requireASM(t testing.TB) {
 	t.Helper()
-	if !ASMAvailable() {
+	if !haveFFTASM {
 		t.Skip("vector engine unavailable on this host")
 	}
 }
@@ -155,65 +155,65 @@ func TestVecPointwiseBitIdentical(t *testing.T) {
 	}
 }
 
-// TestVecPlanEngineBitIdentical compares whole convolution plans built under
+// TestVecPlanEngineBitIdentical compares whole convolution plans built on
 // the two engines — kernel transform, forward spectrum, convolve, correlate,
-// and the fused spectral accumulation — in both spectral modes. This is the
-// end-to-end form of the contract: an optimizer run cannot tell the engines
-// apart by output bits.
+// and the fused spectral accumulation — and the complex oracle run on each.
+// This is the end-to-end form of the contract: an optimizer run cannot tell
+// the engines apart by output bits.
 func TestVecPlanEngineBitIdentical(t *testing.T) {
 	requireASM(t)
-	for _, mode := range []string{"", ModeComplex} {
-		t.Run("mode="+modeName(mode), func(t *testing.T) {
-			t.Setenv(EnvMode, mode)
-			rng := rand.New(rand.NewSource(404))
-			w, h, kw, kh := 37, 29, 7, 5 // non-square, non-power-of-two image
-			img := randImage(rng, w*h)
-			kernel := randImage(rng, kw*kh)
+	rng := rand.New(rand.NewSource(404))
+	w, h, kw, kh := 37, 29, 7, 5 // non-square, non-power-of-two image
+	img := randImage(rng, w*h)
+	kernel := randImage(rng, kw*kh)
+	ps, pv := newPlan(w, h, kw, kh, false), newPlan(w, h, kw, kh, true)
+	outS := make([]float64, w*h)
+	outV := make([]float64, w*h)
 
-			t.Setenv(EnvASM, ASMOff)
-			ps := NewPlan(w, h, kw, kh)
-			if ps.Vectorized() {
-				t.Fatal("LDMO_FFT_ASM=off plan claims the vector engine")
-			}
-			kfS := ps.TransformKernel(kernel)
-			t.Setenv(EnvASM, "")
-			pv := NewPlan(w, h, kw, kh)
-			if !pv.Vectorized() {
-				t.Fatal("default plan on an AVX2 host should use the vector engine")
-			}
-			kfV := pv.TransformKernel(kernel)
-			diffComplex(t, "kernel spectrum", kfV, kfS)
+	t.Run("mode=real", func(t *testing.T) {
+		kfS := ps.TransformKernel(kernel)
+		kfV := pv.TransformKernel(kernel)
+		diffComplex(t, "kernel spectrum", kfV, kfS)
 
-			specS := append([]complex128(nil), ps.Forward(img)...)
-			specV := append([]complex128(nil), pv.Forward(img)...)
-			diffComplex(t, "forward spectrum", specV, specS)
+		specS := append([]complex128(nil), ps.Forward(img)...)
+		specV := append([]complex128(nil), pv.Forward(img)...)
+		diffComplex(t, "forward spectrum", specV, specS)
 
-			outS := make([]float64, w*h)
-			outV := make([]float64, w*h)
-			ps.Convolve(img, kfS, outS)
-			pv.Convolve(img, kfV, outV)
-			diffFloat(t, "convolve", outV, outS)
-			ps.Correlate(img, kfS, outS)
-			pv.Correlate(img, kfV, outV)
-			diffFloat(t, "correlate", outV, outS)
+		ps.Convolve(img, kfS, outS)
+		pv.Convolve(img, kfV, outV)
+		diffFloat(t, "convolve", outV, outS)
+		ps.Correlate(img, kfS, outS)
+		pv.Correlate(img, kfV, outV)
+		diffFloat(t, "correlate", outV, outS)
 
-			// Fused adjoint path: accumulate conj products under each
-			// engine, then inverse-transform through the matching plan.
-			accS := make([]complex128, ps.SpecLen())
-			accV := make([]complex128, pv.SpecLen())
-			t.Setenv(EnvASM, ASMOff)
-			AccumulateConj(accS, specS, kfS)
-			MulConj(specS, specS, kfS)
-			t.Setenv(EnvASM, "")
-			AccumulateConj(accV, specV, kfV)
-			MulConj(specV, specV, kfV)
-			diffComplex(t, "accumulate-conj", accV, accS)
-			diffComplex(t, "mul-conj", specV, specS)
-			ps.InverseSpec(ps.NewScratch(), accS, outS)
-			pv.InverseSpec(pv.NewScratch(), accV, outV)
-			diffFloat(t, "inverse-spec", outV, outS)
-		})
-	}
+		// Fused adjoint path: accumulate conj products on each engine (the
+		// scalar side spelled out, as AccumulateConj and MulConj run the
+		// host's engine), then inverse-transform through the matching plan.
+		accS := make([]complex128, ps.SpecLen())
+		accV := make([]complex128, pv.SpecLen())
+		for i, k := range kfS {
+			accS[i] += specS[i] * complex(real(k), -imag(k))
+			specS[i] = specS[i] * complex(real(k), -imag(k))
+		}
+		AccumulateConj(accV, specV, kfV)
+		MulConj(specV, specV, kfV)
+		diffComplex(t, "accumulate-conj", accV, accS)
+		diffComplex(t, "mul-conj", specV, specS)
+		ps.InverseSpec(ps.NewScratch(), accS, outS)
+		pv.InverseSpec(pv.NewScratch(), accV, outV)
+		diffFloat(t, "inverse-spec", outV, outS)
+	})
+	t.Run("mode=complex", func(t *testing.T) {
+		oS, oV := newComplexOracle(ps, false), newComplexOracle(pv, true)
+		kfS, kfV := oS.kernel(kernel), oV.kernel(kernel)
+		diffComplex(t, "kernel spectrum", kfV, kfS)
+		diffComplex(t, "forward spectrum", oV.forward(img), oS.forward(img))
+		for _, conj := range []bool{false, true} {
+			oS.apply(oS.forward(img), kfS, outS, conj)
+			oV.apply(oV.forward(img), kfV, outV, conj)
+			diffFloat(t, "apply", outV, outS)
+		}
+	})
 }
 
 // FuzzVecEquivalence drives the rfft row pipeline and the pointwise kernels
@@ -301,11 +301,10 @@ func TestVecApplySpecZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool randomly drops puts under the race detector")
 	}
-	t.Setenv(EnvASM, "")
 	rng := rand.New(rand.NewSource(606))
 	w, h, kw, kh := 32, 32, 7, 7
 	img := randImage(rng, w*h)
-	p := NewPlan(w, h, kw, kh)
+	p := newPlan(w, h, kw, kh, true)
 	kf := p.TransformKernel(randImage(rng, kw*kh))
 	out := make([]float64, w*h)
 	s := p.NewScratch()
@@ -336,11 +335,4 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(buf[i:])
-}
-
-func modeName(mode string) string {
-	if mode == "" {
-		return "real"
-	}
-	return mode
 }

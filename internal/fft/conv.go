@@ -1,19 +1,6 @@
 package fft
 
-import (
-	"fmt"
-	"os"
-)
-
-// EnvMode selects the spectral representation: the default is the
-// half-spectrum real-input path; setting LDMO_FFT=complex at plan creation
-// falls back to the full complex reference engine (the pre-overhaul path)
-// for A/B verification and benchmarking. Spectra and transformed kernels are
-// mode-specific: they must come from the same plan that consumes them.
-const EnvMode = "LDMO_FFT"
-
-// ModeComplex is the EnvMode value selecting the full-complex reference path.
-const ModeComplex = "complex"
+import "fmt"
 
 // Plan is a reusable workspace for repeated "same"-size 2-D convolutions of a
 // w x h image with kw x kh kernels. The ILT loop convolves the same kernels
@@ -23,9 +10,8 @@ const ModeComplex = "complex"
 // with TransformKernel. The hot path (Forward/ApplySpec and the
 // Convolve/Correlate wrappers) performs no per-call allocation.
 //
-// In the default real mode all spectra are stored half-width (HW = PW/2+1
-// Hermitian bins per row, PH rows); in complex mode (LDMO_FFT=complex) they
-// are full PW x PH fields. SpecLen reports the active layout's length.
+// All spectra are stored half-width (HW = PW/2+1 Hermitian bins per row, PH
+// rows; see rfft.go). SpecLen reports their length.
 //
 // A Plan is not safe for concurrent use; create one per goroutine. The one
 // sanctioned sharing pattern is fan-out over a single Forward spectrum:
@@ -36,19 +22,18 @@ type Plan struct {
 	W, H   int // image size
 	KW, KH int // kernel size (odd in both dimensions)
 	PW, PH int // padded transform size (powers of two)
-	HW     int // spectral row width: PW/2+1 (real mode) or PW (complex)
+	HW     int // spectral row width: PW/2+1
 
-	realMode bool
-	vec      bool      // engine captured at construction (see EnvASM)
-	twRow    *twiddles // length-PW tables (rows; rfft untangling)
-	twHalf   *twiddles // length-PW/2 tables (packed rfft core; nil in complex mode)
-	twCol    *twiddles // length-PH tables (columns)
-	scratch  Scratch
+	vec     bool      // vector engine (see asm.go)
+	twRow   *twiddles // length-PW tables (rows; rfft untangling)
+	twHalf  *twiddles // length-PW/2 tables (packed rfft core; nil when PW == 1)
+	twCol   *twiddles // length-PH tables (columns)
+	scratch Scratch
 }
 
 // Scratch is the per-goroutine workspace of one convolution lane: a forward
 // spectrum, a product/inverse-transform field, the blocked column strip, and
-// (real mode) the real row staging buffer. A plan owns one Scratch for its
+// the real row staging buffer. A plan owns one Scratch for its
 // serial methods; parallel callers allocate one per worker with NewScratch.
 type Scratch struct {
 	spec []complex128
@@ -58,9 +43,13 @@ type Scratch struct {
 }
 
 // NewPlan builds a convolution plan. Kernel dimensions must be odd so the
-// kernel has an unambiguous center pixel. The spectral representation is
-// chosen here from LDMO_FFT (see EnvMode).
-func NewPlan(w, h, kw, kh int) *Plan {
+// kernel has an unambiguous center pixel. The plan runs the vector engine
+// wherever the host supports it.
+func NewPlan(w, h, kw, kh int) *Plan { return newPlan(w, h, kw, kh, haveFFTASM) }
+
+// newPlan builds a plan on the given engine; the package's tests build
+// scalar plans on vector hosts through it to compare the engines bitwise.
+func newPlan(w, h, kw, kh int, vec bool) *Plan {
 	if w <= 0 || h <= 0 || kw <= 0 || kh <= 0 {
 		panic(fmt.Sprintf("fft: invalid plan dims %dx%d kernel %dx%d", w, h, kw, kh))
 	}
@@ -69,30 +58,15 @@ func NewPlan(w, h, kw, kh int) *Plan {
 	}
 	pw := NextPow2(w + kw - 1)
 	ph := NextPow2(h + kh - 1)
-	p := &Plan{W: w, H: h, KW: kw, KH: kh, PW: pw, PH: ph}
-	p.realMode = os.Getenv(EnvMode) != ModeComplex
-	p.vec = vecEnabled()
-	if p.realMode {
-		p.HW = rfftLen(pw)
-		if pw > 1 {
-			p.twHalf = tablesFor(pw / 2)
-		}
-	} else {
-		p.HW = pw
+	p := &Plan{W: w, H: h, KW: kw, KH: kh, PW: pw, PH: ph, HW: rfftLen(pw), vec: vec}
+	if pw > 1 {
+		p.twHalf = tablesFor(pw / 2)
 	}
 	p.twRow = tablesFor(pw)
 	p.twCol = tablesFor(ph)
 	p.scratch = *p.NewScratch()
 	return p
 }
-
-// RealMode reports whether the plan uses the half-spectrum real-input path.
-func (p *Plan) RealMode() bool { return p.realMode }
-
-// Vectorized reports whether this plan runs the amd64 vector kernels. The
-// engine is captured at construction and is part of the shared-plan cache
-// identity, like the spectral mode.
-func (p *Plan) Vectorized() bool { return p.vec }
 
 // SpecLen returns the length of this plan's spectral buffers — what Forward
 // returns and TransformKernel produces, and the size callers must allocate
@@ -119,6 +93,18 @@ func (p *Plan) TransformKernel(kernel []float64) []complex128 {
 
 // transformKernel derives a kernel spectrum using the column strip of s.
 func (p *Plan) transformKernel(s *Scratch, kernel []float64) []complex128 {
+	wrapped := p.wrapKernel(kernel)
+	kf := make([]complex128, p.SpecLen())
+	for y := 0; y < p.PH; y++ {
+		rfftRow(kf[y*p.HW:(y+1)*p.HW], wrapped[y*p.PW:(y+1)*p.PW], p.twHalf, p.twRow, p.vec)
+	}
+	transformCols(kf, p.HW, p.PH, p.twCol, false, s.col, p.vec)
+	return kf
+}
+
+// wrapKernel places kernel in a PW x PH real field with its center at the
+// origin, ready for transformation.
+func (p *Plan) wrapKernel(kernel []float64) []float64 {
 	if len(kernel) != p.KW*p.KH {
 		panic(fmt.Sprintf("fft: kernel length %d != %dx%d", len(kernel), p.KW, p.KH))
 	}
@@ -133,19 +119,7 @@ func (p *Plan) transformKernel(s *Scratch, kernel []float64) []complex128 {
 			wrapped[y*p.PW+x] = kernel[ky*p.KW+kx]
 		}
 	}
-	kf := make([]complex128, p.SpecLen())
-	if p.realMode {
-		for y := 0; y < p.PH; y++ {
-			rfftRow(kf[y*p.HW:(y+1)*p.HW], wrapped[y*p.PW:(y+1)*p.PW], p.twHalf, p.twRow, p.vec)
-		}
-		transformCols(kf, p.HW, p.PH, p.twCol, false, s.col, p.vec)
-		return kf
-	}
-	for i, v := range wrapped {
-		kf[i] = complex(v, 0)
-	}
-	transform2D(kf, p.PW, p.PH, false, s.col, p.vec)
-	return kf
+	return wrapped
 }
 
 // Convolve computes the "same"-size zero-padded linear convolution of img
@@ -195,30 +169,14 @@ func (p *Plan) ForwardInto(s *Scratch, img []float64) []complex128 {
 		panic(fmt.Sprintf("fft: image length %d != %dx%d", len(img), p.W, p.H))
 	}
 	spec := s.spec
-	if p.realMode {
-		for y := 0; y < p.H; y++ {
-			rfftRow(spec[y*p.HW:(y+1)*p.HW], img[y*p.W:(y+1)*p.W], p.twHalf, p.twRow, p.vec)
-		}
-		tail := spec[p.H*p.HW:]
-		for i := range tail {
-			tail[i] = 0
-		}
-		transformCols(spec, p.HW, p.PH, p.twCol, false, s.col, p.vec)
-		return spec
-	}
 	for y := 0; y < p.H; y++ {
-		row := spec[y*p.PW : (y+1)*p.PW]
-		for x := 0; x < p.W; x++ {
-			row[x] = complex(img[y*p.W+x], 0)
-		}
-		for x := p.W; x < p.PW; x++ {
-			row[x] = 0
-		}
+		rfftRow(spec[y*p.HW:(y+1)*p.HW], img[y*p.W:(y+1)*p.W], p.twHalf, p.twRow, p.vec)
 	}
-	for i := p.H * p.PW; i < len(spec); i++ {
-		spec[i] = 0
+	tail := spec[p.H*p.HW:]
+	for i := range tail {
+		tail[i] = 0
 	}
-	transform2D(spec, p.PW, p.PH, false, s.col, p.vec)
+	transformCols(spec, p.HW, p.PH, p.twCol, false, s.col, p.vec)
 	return spec
 }
 
@@ -270,29 +228,20 @@ func (p *Plan) InverseSpec(s *Scratch, freq []complex128, out []float64) {
 }
 
 // inverseInto inverse-transforms freq in place and writes the W x H real
-// region into out. In real mode only the first H output rows are
-// reconstructed: the padded tail rows are about to be discarded, so their
-// inverse row transforms are skipped entirely.
+// region into out. Only the first H output rows are reconstructed: the
+// padded tail rows are about to be discarded, so their inverse row
+// transforms are skipped entirely.
 func (p *Plan) inverseInto(s *Scratch, freq []complex128, out []float64) {
 	if len(out) != p.W*p.H {
 		panic(fmt.Sprintf("fft: out length %d != %dx%d", len(out), p.W, p.H))
 	}
-	if p.realMode {
-		transformCols(freq, p.HW, p.PH, p.twCol, true, s.col, p.vec)
-		norm := 1 / float64(p.PH)
-		for y := 0; y < p.H; y++ {
-			irfftRow(s.rrow, freq[y*p.HW:(y+1)*p.HW], p.twHalf, p.twRow, p.vec)
-			orow := out[y*p.W : (y+1)*p.W]
-			for x := range orow {
-				orow[x] = s.rrow[x] * norm
-			}
-		}
-		return
-	}
-	transform2D(freq, p.PW, p.PH, true, s.col, p.vec)
+	transformCols(freq, p.HW, p.PH, p.twCol, true, s.col, p.vec)
+	norm := 1 / float64(p.PH)
 	for y := 0; y < p.H; y++ {
-		for x := 0; x < p.W; x++ {
-			out[y*p.W+x] = real(freq[y*p.PW+x])
+		irfftRow(s.rrow, freq[y*p.HW:(y+1)*p.HW], p.twHalf, p.twRow, p.vec)
+		orow := out[y*p.W : (y+1)*p.W]
+		for x := range orow {
+			orow[x] = s.rrow[x] * norm
 		}
 	}
 }
@@ -304,7 +253,7 @@ func AccumulateConj(acc, spec, kfft []complex128) {
 	if len(acc) != len(spec) || len(acc) != len(kfft) {
 		panic(fmt.Sprintf("fft: accumulate length mismatch %d/%d/%d", len(acc), len(spec), len(kfft)))
 	}
-	if vecEnabled() {
+	if haveFFTASM {
 		accumConjInto(acc, spec, kfft)
 		return
 	}
@@ -320,7 +269,7 @@ func MulConj(dst, spec, kfft []complex128) {
 	if len(dst) != len(spec) || len(dst) != len(kfft) {
 		panic(fmt.Sprintf("fft: mulconj length mismatch %d/%d/%d", len(dst), len(spec), len(kfft)))
 	}
-	if vecEnabled() {
+	if haveFFTASM {
 		cmulConjInto(dst, spec, kfft)
 		return
 	}

@@ -9,8 +9,8 @@
 // the exact Sincos-sampled constant, so accuracy does not degrade with
 // transform length. Real-valued rasters — masks, fields, kernels, which is
 // everything the simulator transforms — go through the half-spectrum RFFT
-// path in rfft.go unless LDMO_FFT=complex forces the full complex reference
-// path.
+// path in rfft.go. The full-complex 2-D engine it replaced lives on in the
+// package's tests as the reference the Plan is checked against.
 package fft
 
 import (
@@ -28,18 +28,6 @@ func NextPow2(n int) int {
 
 // IsPow2 reports whether n is a positive power of two.
 func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
-
-// FFT performs an in-place forward radix-2 Cooley-Tukey transform of x.
-// len(x) must be a power of two; it panics otherwise, since a bad length is
-// always a programming error in this codebase (callers pad explicitly).
-func FFT(x []complex128) { transformWith(x, tablesFor(len(x)), false, vecEnabled()) }
-
-// IFFT performs an in-place inverse transform of x, including the 1/N
-// normalization, so IFFT(FFT(x)) == x up to rounding.
-func IFFT(x []complex128) {
-	transformWith(x, tablesFor(len(x)), true, vecEnabled())
-	scale(x, 1/float64(len(x)))
-}
 
 // transformWith runs the in-place radix-2 transform of x against
 // precomputed tables; len(x) must equal tw.n. No normalization is applied.
@@ -99,58 +87,11 @@ func transformWith(x []complex128, tw *twiddles, inverse, vec bool) {
 	}
 }
 
-// scale multiplies every element by s. The transform sizes here are powers
-// of two, so s = 1/n is exact and this matches per-element division bit for
-// bit.
-func scale(x []complex128, s float64) {
-	c := complex(s, 0)
-	for i := range x {
-		x[i] *= c
-	}
-}
-
-// colBlock is how many columns the 2-D drivers gather and transform per
-// pass. Walking the raster row-wise in strips of colBlock columns keeps the
+// colBlock is how many columns the column transforms gather per pass.
+// Walking the raster row-wise in strips of colBlock columns keeps the
 // gather/scatter sequential in memory instead of striding the full row
 // width once per column.
 const colBlock = 8
-
-// FFT2D transforms a w x h row-major complex raster in place (rows first,
-// then columns). Both w and h must be powers of two. The column scratch
-// comes from a pool, so steady-state calls do not allocate.
-func FFT2D(data []complex128, w, h int) {
-	strip := getStrip(colBlock * h)
-	transform2D(data, w, h, false, *strip, vecEnabled())
-	putStrip(strip)
-}
-
-// IFFT2D inverts FFT2D, including normalization.
-func IFFT2D(data []complex128, w, h int) {
-	strip := getStrip(colBlock * h)
-	transform2D(data, w, h, true, *strip, vecEnabled())
-	putStrip(strip)
-}
-
-// transform2D is the shared full-complex 2-D driver. col is the
-// caller-provided column strip (len >= h; larger strips enable blocked
-// column processing); Plan threads its reusable scratch through here so the
-// convolution hot path performs no per-call allocation.
-func transform2D(data []complex128, w, h int, inverse bool, col []complex128, vec bool) {
-	if len(data) != w*h {
-		panic(fmt.Sprintf("fft: data length %d != %d x %d", len(data), w, h))
-	}
-	rtw := tablesFor(w)
-	for y := 0; y < h; y++ {
-		transformWith(data[y*w:(y+1)*w], rtw, inverse, vec)
-	}
-	if inverse {
-		scale(data, 1/float64(w))
-	}
-	transformCols(data, w, h, tablesFor(h), inverse, col, vec)
-	if inverse {
-		scale(data, 1/float64(h))
-	}
-}
 
 // transformCols transforms every column of the w x h raster in place using
 // the length-h tables, processing as many columns per pass as the strip

@@ -11,8 +11,7 @@ import "fmt"
 // length-n twiddles; the inverse runs the recipe backwards. Relative to
 // transforming the same signal as a full complex array this halves both the
 // flops and the spectral working set, which is why the Plan uses it for
-// every mask, field, and kernel transform unless LDMO_FFT=complex asks for
-// the reference path.
+// every mask, field, and kernel transform.
 //
 // 2-D half spectra are laid out row-major with hw = pw/2+1 complex bins per
 // row and ph rows: RFFT along rows first, then full complex FFTs down each

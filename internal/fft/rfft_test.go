@@ -132,70 +132,73 @@ func TestRFFTParseval(t *testing.T) {
 	}
 }
 
-// planModes runs fn once per spectral engine mode.
-func planModes(t *testing.T, fn func(t *testing.T)) {
-	t.Run("real", func(t *testing.T) {
-		t.Setenv(EnvMode, "")
-		fn(t)
-	})
-	t.Run("complex", func(t *testing.T) {
-		t.Setenv(EnvMode, ModeComplex)
-		fn(t)
-	})
+// convEngine is one convolution engine under test: conv writes the
+// convolution (correlation when conj) of img with kernel into out.
+type convEngine struct {
+	name string
+	conv func(img, kernel, out []float64, conj bool)
 }
 
-// TestPlanBothModesMatchDirect runs the convolution oracle under both
-// engines; the historical direct-reference tests only exercise the default.
+// bothEngines returns the real-input Plan p and the full-complex oracle on
+// its geometry.
+func bothEngines(p *Plan) []convEngine {
+	o := newComplexOracle(p, haveFFTASM)
+	return []convEngine{
+		{"real", func(img, kernel, out []float64, conj bool) {
+			p.ApplySpec(p.Forward(img), p.TransformKernel(kernel), out, conj)
+		}},
+		{"complex", func(img, kernel, out []float64, conj bool) {
+			o.apply(o.forward(img), o.kernel(kernel), out, conj)
+		}},
+	}
+}
+
+// TestPlanBothModesMatchDirect runs the direct-convolution oracle against
+// both engines: the Plan and the complex engine it is pinned to.
 func TestPlanBothModesMatchDirect(t *testing.T) {
-	planModes(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(6))
-		w, h, kw, kh := 23, 17, 9, 5
-		img := randImage(rng, w*h)
-		kernel := randImage(rng, kw*kh)
-		p := NewPlan(w, h, kw, kh)
-		kf := p.TransformKernel(kernel)
-		got := make([]float64, w*h)
-		want := make([]float64, w*h)
-		p.Convolve(img, kf, got)
-		DirectConvolve(img, w, h, kernel, kw, kh, want)
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-9 {
-				t.Fatalf("convolve mismatch at %d: %g vs %g", i, got[i], want[i])
+	rng := rand.New(rand.NewSource(6))
+	w, h, kw, kh := 23, 17, 9, 5
+	img := randImage(rng, w*h)
+	kernel := randImage(rng, kw*kh)
+	for _, e := range bothEngines(NewPlan(w, h, kw, kh)) {
+		t.Run(e.name, func(t *testing.T) {
+			got := make([]float64, w*h)
+			want := make([]float64, w*h)
+			e.conv(img, kernel, got, false)
+			DirectConvolve(img, w, h, kernel, kw, kh, want)
+			for i := range want {
+				if math.Abs(got[i]-want[i]) > 1e-9 {
+					t.Fatalf("convolve mismatch at %d: %g vs %g", i, got[i], want[i])
+				}
 			}
-		}
-		p.Correlate(img, kf, got)
-		DirectCorrelate(img, w, h, kernel, kw, kh, want)
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-9 {
-				t.Fatalf("correlate mismatch at %d: %g vs %g", i, got[i], want[i])
+			e.conv(img, kernel, got, true)
+			DirectCorrelate(img, w, h, kernel, kw, kh, want)
+			for i := range want {
+				if math.Abs(got[i]-want[i]) > 1e-9 {
+					t.Fatalf("correlate mismatch at %d: %g vs %g", i, got[i], want[i])
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
-// TestPlanModesAgree compares the two engines against each other on the same
-// inputs — the field-level half of the golden-output contract (<= 1e-9).
+// TestPlanModesAgree compares the real-input Plan with the complex oracle on
+// the same inputs — the field-level half of the golden-output contract
+// (<= 1e-9).
 func TestPlanModesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	w, h, kw, kh := 40, 28, 11, 7
 	img := randImage(rng, w*h)
 	kernel := randImage(rng, kw*kh)
-
-	outs := map[string][]float64{}
-	for _, mode := range []string{"", ModeComplex} {
-		t.Setenv(EnvMode, mode)
-		p := NewPlan(w, h, kw, kh)
-		if p.RealMode() != (mode == "") {
-			t.Fatalf("mode %q: RealMode() = %v", mode, p.RealMode())
-		}
-		kf := p.TransformKernel(kernel)
-		out := make([]float64, w*h)
-		p.Convolve(img, kf, out)
-		outs[mode] = out
-	}
-	for i := range outs[""] {
-		if d := math.Abs(outs[""][i] - outs[ModeComplex][i]); d > 1e-9 {
-			t.Fatalf("engines disagree at %d by %g", i, d)
+	engines := bothEngines(NewPlan(w, h, kw, kh))
+	for _, conj := range []bool{false, true} {
+		re, cx := make([]float64, w*h), make([]float64, w*h)
+		engines[0].conv(img, kernel, re, conj)
+		engines[1].conv(img, kernel, cx, conj)
+		for i := range re {
+			if d := math.Abs(re[i] - cx[i]); d > 1e-9 {
+				t.Fatalf("conj=%v: engines disagree at %d by %g", conj, i, d)
+			}
 		}
 	}
 }
@@ -204,35 +207,54 @@ func TestPlanModesAgree(t *testing.T) {
 // the simulator's backward pass relies on: one inverse of the accumulated
 // products equals the sum of per-kernel correlations.
 func TestInverseSpecFusedMatchesPerKernel(t *testing.T) {
-	planModes(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(8))
-		w, h, kw, kh := 26, 22, 7, 7
-		p := NewPlan(w, h, kw, kh)
-		const nk = 3
-		imgs := make([][]float64, nk)
-		kffts := make([][]complex128, nk)
+	rng := rand.New(rand.NewSource(8))
+	w, h, kw, kh := 26, 22, 7, 7
+	p := NewPlan(w, h, kw, kh)
+	const nk = 3
+	imgs := make([][]float64, nk)
+	kernels := make([][]float64, nk)
+	for k := range imgs {
+		imgs[k] = randImage(rng, w*h)
+		kernels[k] = randImage(rng, kw*kh)
+	}
+	// check compares fused against the sum of the engine's correlations.
+	check := func(t *testing.T, e convEngine, fused func(out []float64)) {
 		want := make([]float64, w*h)
 		tmp := make([]float64, w*h)
-		for k := 0; k < nk; k++ {
-			imgs[k] = randImage(rng, w*h)
-			kffts[k] = p.TransformKernel(randImage(rng, kw*kh))
-			p.Correlate(imgs[k], kffts[k], tmp)
+		for k := range imgs {
+			e.conv(imgs[k], kernels[k], tmp, true)
 			for i := range want {
 				want[i] += tmp[i]
 			}
 		}
-		s := p.NewScratch()
-		acc := make([]complex128, p.SpecLen())
-		for k := 0; k < nk; k++ {
-			AccumulateConj(acc, p.ForwardInto(s, imgs[k]), kffts[k])
-		}
 		got := make([]float64, w*h)
-		p.InverseSpec(s, acc, got)
+		fused(got)
 		for i := range want {
 			if d := math.Abs(got[i] - want[i]); d > 1e-9 {
 				t.Fatalf("fused gradient differs at %d by %g", i, d)
 			}
 		}
+	}
+	engines := bothEngines(p)
+	t.Run("real", func(t *testing.T) {
+		check(t, engines[0], func(out []float64) {
+			s := p.NewScratch()
+			acc := make([]complex128, p.SpecLen())
+			for k := range imgs {
+				AccumulateConj(acc, p.ForwardInto(s, imgs[k]), p.TransformKernel(kernels[k]))
+			}
+			p.InverseSpec(s, acc, out)
+		})
+	})
+	t.Run("complex", func(t *testing.T) {
+		o := newComplexOracle(p, haveFFTASM)
+		check(t, engines[1], func(out []float64) {
+			acc := make([]complex128, len(o.spec))
+			for k := range imgs {
+				AccumulateConj(acc, o.forward(imgs[k]), o.kernel(kernels[k]))
+			}
+			o.inverse(acc, out)
+		})
 	})
 }
 
@@ -246,24 +268,18 @@ func TestAccumulateConjLengthPanic(t *testing.T) {
 }
 
 func TestSpecLenHalvedInRealMode(t *testing.T) {
-	t.Setenv(EnvMode, "")
 	p := NewPlan(224, 224, 31, 31)
 	if want := (p.PW/2 + 1) * p.PH; p.SpecLen() != want {
 		t.Fatalf("real SpecLen = %d, want %d", p.SpecLen(), want)
 	}
-	t.Setenv(EnvMode, ModeComplex)
-	pc := NewPlan(224, 224, 31, 31)
-	if want := pc.PW * pc.PH; pc.SpecLen() != want {
-		t.Fatalf("complex SpecLen = %d, want %d", pc.SpecLen(), want)
-	}
-	if 2*p.SpecLen() >= 3*pc.SpecLen()/2 {
-		t.Fatalf("half spectrum %d not roughly half of %d", p.SpecLen(), pc.SpecLen())
+	full := p.PW * p.PH
+	if 2*p.SpecLen() >= 3*full/2 {
+		t.Fatalf("half spectrum %d not roughly half of %d", p.SpecLen(), full)
 	}
 }
 
-// TestFFT2DZeroAllocSteadyState covers the satellite fix: the package-level
-// 2-D entry points route their column strip through a pool instead of
-// allocating per call.
+// TestFFT2DZeroAllocSteadyState: the complex 2-D entry points route their
+// column strip through a pool instead of allocating per call.
 func TestFFT2DZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool randomly drops puts under the race detector")
@@ -299,31 +315,38 @@ func TestInverseSpecZeroAlloc(t *testing.T) {
 	}
 }
 
-func BenchmarkFFTPlanConvolve224(b *testing.B) { benchConvolve(b, false) }
-
-func BenchmarkFFTPlanConvolve224Complex(b *testing.B) { benchConvolve(b, true) }
-
-func benchConvolve(b *testing.B, complexMode bool) {
-	if complexMode {
-		b.Setenv(EnvMode, ModeComplex)
-	} else {
-		b.Setenv(EnvMode, "")
-	}
-	w, h := 224, 224
-	img := make([]float64, w*h)
-	for i := range img {
-		img[i] = float64(i%13) / 13
-	}
-	kernel := make([]float64, 31*31)
-	for i := range kernel {
-		kernel[i] = 1.0 / float64(len(kernel))
-	}
-	p := NewPlan(w, h, 31, 31)
+// BenchmarkFFTPlanConvolve224 and its Complex twin A/B the real-input Plan
+// against the full-complex engine it replaced, on one 224x224 convolution.
+func BenchmarkFFTPlanConvolve224(b *testing.B) {
+	p, img, kernel, out := benchConvolveSetup()
 	kf := p.TransformKernel(kernel)
-	out := make([]float64, w*h)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Convolve(img, kf, out)
 	}
+}
+
+func BenchmarkFFTPlanConvolve224Complex(b *testing.B) {
+	p, img, kernel, out := benchConvolveSetup()
+	o := newComplexOracle(p, haveFFTASM)
+	kf := o.kernel(kernel)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o.apply(o.forward(img), kf, out, false)
+	}
+}
+
+func benchConvolveSetup() (p *Plan, img, kernel, out []float64) {
+	w, h := 224, 224
+	img = make([]float64, w*h)
+	for i := range img {
+		img[i] = float64(i%13) / 13
+	}
+	kernel = make([]float64, 31*31)
+	for i := range kernel {
+		kernel[i] = 1.0 / float64(len(kernel))
+	}
+	return NewPlan(w, h, 31, 31), img, kernel, make([]float64, w*h)
 }

@@ -1,29 +1,22 @@
 package fft
 
-import (
-	"os"
-	"sync"
-)
+import "sync"
 
-// Plans of the same geometry and spectral mode are interchangeable: their
-// twiddle tables are already process-shared (tables.go), and everything else
-// a Plan holds — padded geometry, mode flag — is immutable after
-// construction. PlanFor extends the sharing to the Plan itself, so the many
-// simulators of a pipelined flow (one per ILT lane per layout) stop
-// rebuilding identical plans and kernel transforms per task.
+// Plans of the same geometry are interchangeable: their twiddle tables are
+// already process-shared (tables.go), and everything else a Plan holds —
+// padded geometry, engine flag — is immutable after construction. PlanFor
+// extends the sharing to the Plan itself, so the many simulators of a
+// pipelined flow (one per ILT lane per layout) stop rebuilding identical
+// plans and kernel transforms per task.
 var (
 	planMu    sync.Mutex
 	planCache = map[planKey]*Plan{}
 )
 
-type planKey struct {
-	w, h, kw, kh int
-	realMode     bool
-	asm          bool // vector engine at lookup time (see EnvASM)
-}
+type planKey struct{ w, h, kw, kh int }
 
 // PlanFor returns the process-wide shared plan for the given convolution
-// geometry under the current LDMO_FFT mode, building it on first use.
+// geometry, building it on first use.
 //
 // A shared plan's embedded scratch is reserved for TransformKernel; every
 // other access must go through the *With methods with a caller-owned
@@ -31,9 +24,7 @@ type planKey struct {
 // safe from any number of goroutines. The serial convenience methods
 // (Forward, Convolve, Correlate, ApplySpec) are NOT safe on a shared plan.
 func PlanFor(w, h, kw, kh int) *Plan {
-	key := planKey{w: w, h: h, kw: kw, kh: kh,
-		realMode: os.Getenv(EnvMode) != ModeComplex,
-		asm:      vecEnabled()}
+	key := planKey{w, h, kw, kh}
 	planMu.Lock()
 	defer planMu.Unlock()
 	if p := planCache[key]; p != nil {

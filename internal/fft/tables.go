@@ -100,20 +100,3 @@ func stageLayout(tab []complex128, n int) []complex128 {
 	}
 	return out
 }
-
-// stripPool recycles the column-strip scratch of the package-level
-// FFT2D/IFFT2D entry points, so the convenience API is allocation-free in
-// steady state like the Plan hot path (which carries its strip in Scratch).
-var stripPool sync.Pool
-
-func getStrip(n int) *[]complex128 {
-	v, _ := stripPool.Get().(*[]complex128)
-	if v == nil || cap(*v) < n {
-		s := make([]complex128, n)
-		v = &s
-	}
-	*v = (*v)[:n]
-	return v
-}
-
-func putStrip(v *[]complex128) { stripPool.Put(v) }

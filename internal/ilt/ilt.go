@@ -38,29 +38,17 @@ type Config struct {
 	// CheckpointSpacing is the EPE checkpoint pitch in nm (paper-style 40).
 	CheckpointSpacing int
 	// Init, when non-nil, supplies a learned warm initial mask field per
-	// decomposition instead of the raw rasterized decomposition. It is
-	// honored only while WarmEnabled() (the LDMO_WARMSTART gate) holds; the
-	// gate is sampled at NewOptimizer time.
+	// decomposition instead of the raw rasterized decomposition (see
+	// Initializer). Nil runs every session cold.
 	Init Initializer
-	// WarmClip is the clamp applied to a warm initial field before sigmoid
-	// inversion, replacing InitClip for warmed sessions only. InitClip
-	// protects a binary cold raster from the sigmoid's dead tails, but it
-	// also erases the saturation depth a converged continuous field carries
-	// — re-projecting an optimum through [0.02, 0.98] replays the cold
-	// trajectory almost exactly. A warm field therefore gets a much wider
-	// band (default 0.005) so the surrogate's prediction survives
-	// projection with its saturation intact while gradients still flow.
-	WarmClip float64
 	// ConvergeWindow enables convergence-aware early stop: at each
 	// violation-check boundary the run halts once the snapshot is perfect
 	// on every verdict metric (zero EPE and print violations — a warm start
 	// frequently begins there), or once the relative L2 improvement over
 	// the trailing ConvergeWindow iterations drops below ConvergeTol with
 	// no print violations outstanding. Zero disables the early stop (full
-	// budget, today's behavior); like Init it is gated behind
-	// LDMO_WARMSTART.
+	// budget).
 	ConvergeWindow int
-	ConvergeTol    float64
 	// Litho is the process model.
 	Litho litho.Params
 	// Meter measures EPE.
@@ -75,7 +63,6 @@ func DefaultConfig() Config {
 		CheckEvery:        3,
 		StepSize:          2.0,
 		InitClip:          0.02,
-		WarmClip:          0.005,
 		AbortOnViolation:  true,
 		CheckpointSpacing: 40,
 		Litho:             litho.DefaultParams(),
@@ -98,14 +85,8 @@ func (c Config) Normalize() Config {
 	if c.InitClip <= 0 || c.InitClip >= 0.5 {
 		c.InitClip = d.InitClip
 	}
-	if c.WarmClip <= 0 || c.WarmClip >= 0.5 {
-		c.WarmClip = d.WarmClip
-	}
 	if c.CheckpointSpacing <= 0 {
 		c.CheckpointSpacing = d.CheckpointSpacing
-	}
-	if c.ConvergeWindow > 0 && c.ConvergeTol <= 0 {
-		c.ConvergeTol = DefaultConvergeTol
 	}
 	if c.Litho.Resolution == 0 {
 		c.Litho = d.Litho
@@ -179,7 +160,6 @@ type Optimizer struct {
 	target   *grid.Grid
 	cps      []epe.Checkpoint
 	clock    *simclock.Clock
-	warmOn   bool     // LDMO_WARMSTART gate, sampled at construction
 	spare    *Session // recycled between RunCtx calls; see session()
 }
 
@@ -202,7 +182,6 @@ func NewOptimizer(l layout.Layout, cfg Config) (*Optimizer, error) {
 	return &Optimizer{
 		cfg:      cfg,
 		maxIters: cfg.MaxIters,
-		warmOn:   WarmEnabled(),
 		layout:   l,
 		sim:      sim,
 		target:   l.Rasterize(res),
@@ -320,11 +299,10 @@ func (o *Optimizer) RunCtx(ctx context.Context, d decomp.Decomposition) Result {
 		}
 		s.markGood()
 		if s.Remaining() > 0 {
-			// The convergence early stop is disabled unless configured and
-			// LDMO_WARMSTART allows it, so the cold path's snapshot schedule
-			// is untouched when the gate is off.
-			earlyStop := o.warmOn && o.cfg.ConvergeWindow > 0
-			plateau := earlyStop && s.plateaued(o.cfg.ConvergeWindow, o.cfg.ConvergeTol)
+			// The convergence early stop is disabled unless configured, so
+			// the cold path's snapshot schedule is untouched without it.
+			earlyStop := o.cfg.ConvergeWindow > 0
+			plateau := earlyStop && s.plateaued(o.cfg.ConvergeWindow, ConvergeTol)
 			if o.cfg.AbortOnViolation || track || earlyStop {
 				snap := s.Snapshot()
 				if o.cfg.AbortOnViolation && snap.Violations.Any() {

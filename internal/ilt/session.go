@@ -111,7 +111,7 @@ func (s *Session) reset(d interface {
 	s.fault = false
 	masks := [2][]float64{m1g.Data, m2g.Data}
 	s.warmed = false
-	if o.cfg.Init != nil && o.warmOn {
+	if o.cfg.Init != nil {
 		if s.warm[0] == nil {
 			s.warm[0] = make([]float64, len(masks[0]))
 			s.warm[1] = make([]float64, len(masks[1]))
@@ -128,14 +128,14 @@ func (s *Session) reset(d interface {
 		}
 	}
 	// A warm continuous field keeps its saturation depth through the wider
-	// WarmClip band; the binary cold raster still gets InitClip's protection
+	// warmClip band; the binary cold raster still gets InitClip's protection
 	// from the sigmoid's dead tails. The step size is tuned for the cold
 	// transient — from a near-optimal warm start the full step overshoots
 	// and oscillates away the head start, so warmed sessions descend at
 	// half scale (the NaN-recovery halving stacks on top as usual).
 	clip := o.cfg.InitClip
 	if s.warmed {
-		clip = o.cfg.WarmClip
+		clip = warmClip
 		s.stepScale = 0.5
 	}
 	for i := 0; i < 2; i++ {

@@ -8,94 +8,88 @@ import (
 	"ldmo/internal/fft"
 )
 
-// engineSim builds a simulator under the given spectral engine mode
-// ("" = real half-spectrum, fft.ModeComplex = reference path).
-func engineSim(t *testing.T, mode string, w, h, workers int) *Simulator {
-	t.Helper()
-	t.Setenv(fft.EnvMode, mode)
-	return newTestSim(t, w, h, workers)
+// directEval is the brute-force SOCS model: per-kernel fields by
+// fft.DirectConvolve, the aerial image and resist built from them, and the
+// mask gradient as sum_k w_k * 2 * corr(h_k, gradI*amp_k) by
+// fft.DirectCorrelate.
+type directEval struct {
+	aerial, resist, gradMask []float64
+	fields                   [][]float64
+}
+
+func directSOCS(s *Simulator, mask, gradT []float64) directEval {
+	w, h := s.W, s.H
+	e := directEval{
+		aerial:   make([]float64, w*h),
+		resist:   make([]float64, w*h),
+		gradMask: make([]float64, w*h),
+	}
+	for _, k := range s.bank {
+		f := make([]float64, w*h)
+		fft.DirectConvolve(mask, w, h, k.Data, k.Size, k.Size, f)
+		for i, a := range f {
+			e.aerial[i] += k.Weight * a * a
+		}
+		e.fields = append(e.fields, f)
+	}
+	s.Resist(e.aerial, e.resist)
+	gradI := make([]float64, w*h)
+	s.ResistBackward(gradT, e.resist, gradI)
+	weighted := make([]float64, w*h)
+	tmp := make([]float64, w*h)
+	for n, k := range s.bank {
+		for i := range weighted {
+			weighted[i] = 2 * k.Weight * gradI[i] * e.fields[n][i]
+		}
+		fft.DirectCorrelate(weighted, w, h, k.Data, k.Size, k.Size, tmp)
+		for i := range tmp {
+			e.gradMask[i] += tmp[i]
+		}
+	}
+	return e
 }
 
 // TestEngineGoldenFields is the field-level half of the golden-output
-// contract: the real-input engine reproduces the complex reference engine's
-// aerial images, per-kernel fields, resist images, and mask gradients to
-// 1e-9 — tight enough that every thresholded flow decision downstream is
-// unchanged (the decision-level half lives in ilt and core).
+// contract: the spectral engine reproduces the direct-convolution SOCS
+// model's aerial images, per-kernel fields, resist images, and mask
+// gradients to 1e-9 — tight enough that every thresholded flow decision
+// downstream is unchanged (the decision-level half lives in ilt and core).
 func TestEngineGoldenFields(t *testing.T) {
 	const w, h = 52, 44
 	rng := rand.New(rand.NewSource(77))
 	mask := randMask(rng, w*h)
 	gradT := randMask(rng, w*h)
 
-	type eval struct {
-		aerial, resist, gradMask []float64
-		fields                   *Fields
-	}
-	run := func(mode string) eval {
-		s := engineSim(t, mode, w, h, 1)
-		e := eval{
-			aerial:   make([]float64, w*h),
-			resist:   make([]float64, w*h),
-			gradMask: make([]float64, w*h),
-			fields:   s.NewFields(),
-		}
-		s.Aerial(mask, e.aerial, e.fields)
-		s.Resist(e.aerial, e.resist)
-		gradI := make([]float64, w*h)
-		s.ResistBackward(gradT, e.resist, gradI)
-		s.AerialBackward(gradI, e.fields, e.gradMask)
-		return e
-	}
-	ref := run(fft.ModeComplex)
-	got := run("")
+	s := newTestSim(t, w, h, 1)
+	aerial := make([]float64, w*h)
+	resist := make([]float64, w*h)
+	gradMask := make([]float64, w*h)
+	fields := s.NewFields()
+	s.Aerial(mask, aerial, fields)
+	s.Resist(aerial, resist)
+	gradI := make([]float64, w*h)
+	s.ResistBackward(gradT, resist, gradI)
+	s.AerialBackward(gradI, fields, gradMask)
+	ref := directSOCS(s, mask, gradT)
 
-	cmp := func(name string, a, b []float64) {
+	cmp := func(name string, got, want []float64) {
 		t.Helper()
-		for i := range a {
-			if d := math.Abs(a[i] - b[i]); d > 1e-9 {
-				t.Fatalf("%s differs at %d by %g (real %g vs complex %g)", name, i, d, a[i], b[i])
+		for i := range want {
+			if d := math.Abs(got[i] - want[i]); d > 1e-9 {
+				t.Fatalf("%s differs at %d by %g (spectral %g vs direct %g)", name, i, d, got[i], want[i])
 			}
 		}
 	}
-	cmp("aerial", got.aerial, ref.aerial)
-	cmp("resist", got.resist, ref.resist)
-	cmp("gradMask", got.gradMask, ref.gradMask)
-	for k := range ref.fields.Amp {
-		cmp("field", got.fields.Amp[k], ref.fields.Amp[k])
-	}
-}
-
-// TestComplexEngineParallelBitIdentical keeps the reference engine under the
-// same parallel-determinism guarantee as the default one (which
-// TestAerialParallelBitIdentical covers): A/B runs may use any worker count.
-func TestComplexEngineParallelBitIdentical(t *testing.T) {
-	t.Setenv(fft.EnvMode, fft.ModeComplex)
-	const w, h = 40, 36
-	rng := rand.New(rand.NewSource(78))
-	mask := randMask(rng, w*h)
-	gradI := randMask(rng, w*h)
-
-	serial := newTestSim(t, w, h, 1)
-	parallel := newTestSim(t, w, h, 4)
-	if parallel.Workers() < 2 {
-		t.Skipf("bank of %d kernels cannot parallelize", parallel.KernelCount())
-	}
-	outS, outP := make([]float64, w*h), make([]float64, w*h)
-	fS, fP := serial.NewFields(), parallel.NewFields()
-	serial.Aerial(mask, outS, fS)
-	parallel.Aerial(mask, outP, fP)
-	gS, gP := make([]float64, w*h), make([]float64, w*h)
-	serial.AerialBackward(gradI, fS, gS)
-	parallel.AerialBackward(gradI, fP, gP)
-	for i := range outS {
-		if outS[i] != outP[i] || gS[i] != gP[i] {
-			t.Fatalf("complex engine parallel run differs at %d", i)
-		}
+	cmp("aerial", aerial, ref.aerial)
+	cmp("resist", resist, ref.resist)
+	cmp("gradMask", gradMask, ref.gradMask)
+	for k := range ref.fields {
+		cmp("field", fields.Amp[k], ref.fields[k])
 	}
 }
 
 // TestFusedBackwardMatchesDirectAdjoint checks the fused spectral gradient
-// against the brute-force adjoint sum_k w_k * 2 * corr(h_k, gradI*amp_k)
+// against the brute-force adjoint sum_k w_k * 2 * corr(h_k, gradI * amp_k)
 // computed with DirectCorrelate.
 func TestFusedBackwardMatchesDirectAdjoint(t *testing.T) {
 	const w, h = 24, 20
@@ -103,7 +97,7 @@ func TestFusedBackwardMatchesDirectAdjoint(t *testing.T) {
 	mask := randMask(rng, w*h)
 	gradI := randMask(rng, w*h)
 
-	s := engineSim(t, "", w, h, 1)
+	s := newTestSim(t, w, h, 1)
 	fields := s.NewFields()
 	aerial := make([]float64, w*h)
 	s.Aerial(mask, aerial, fields)

@@ -1,14 +1,13 @@
 package litho
 
 import (
-	"os"
 	"sync"
 
 	"ldmo/internal/fft"
 )
 
 // simShared is the immutable, process-shared core of every simulator of one
-// (process params, raster geometry, spectral mode) combination: the SOCS
+// (process params, raster geometry) combination: the SOCS
 // kernel bank, the convolution plan, and the transformed kernel spectra.
 // Deriving these is the dominant cost of standing up a simulator (and with
 // it an ILT optimizer); sharing them turns per-layout optimizer construction
@@ -28,23 +27,17 @@ var (
 )
 
 // sharedKey identifies one shared resource set. Params is a plain value
-// struct, so it is directly comparable; the spectral mode is part of the key
-// because plans and kernel spectra of the two LDMO_FFT engines are not
-// interchangeable.
+// struct, so it is directly comparable.
 type sharedKey struct {
-	p           Params
-	w, h        int
-	complexMode bool
-	asm         bool // fft vector engine (LDMO_FFT_ASM); plans are engine-specific
+	p    Params
+	w, h int
 }
 
 // sharedFor returns the shared kernel bank / plan / kernel-spectrum set for
 // the geometry, building it on first use. The derivation is a pure function
 // of the key, so a cached set is bit-identical to a freshly built one.
 func sharedFor(p Params, w, h int) *simShared {
-	key := sharedKey{p: p, w: w, h: h,
-		complexMode: os.Getenv(fft.EnvMode) == fft.ModeComplex,
-		asm:         fft.ASMEnabled()}
+	key := sharedKey{p, w, h}
 	sharedMu.Lock()
 	defer sharedMu.Unlock()
 	if s := sharedCache[key]; s != nil {

@@ -3,8 +3,6 @@ package litho
 import (
 	"math/rand"
 	"testing"
-
-	"ldmo/internal/fft"
 )
 
 // TestSimulatorsShareImmutableCore: two simulators of the same geometry get
@@ -44,25 +42,24 @@ func TestSimulatorsShareImmutableCore(t *testing.T) {
 	}
 }
 
-// TestSharedCacheKeyedByMode: the two spectral engines must not hand out each
-// other's plans; the cache key includes the LDMO_FFT mode.
-func TestSharedCacheKeyedByMode(t *testing.T) {
-	p := FastParams()
-	t.Setenv(fft.EnvMode, "")
-	real1, err := NewSimulator(32, 32, p)
-	if err != nil {
-		t.Fatal(err)
+// TestCheckRasterBound pins the transform-size limit at its edge: at 4 nm
+// the bank's largest kernel is 111 px, so a 3986 px side pads to 4096 and
+// one more pixel would need 8192. NewSimulator refuses what CheckRaster
+// refuses, before building anything.
+func TestCheckRasterBound(t *testing.T) {
+	p := DefaultParams()
+	if ks := MaxKernelSize(BuildKernelBank(p)); ks != 111 {
+		t.Fatalf("4 nm kernel size %d, want 111", ks)
 	}
-	t.Setenv(fft.EnvMode, fft.ModeComplex)
-	cplx, err := NewSimulator(32, 32, p)
-	if err != nil {
-		t.Fatal(err)
+	if err := CheckRaster(3986, 10, p); err != nil {
+		t.Fatalf("largest admissible raster refused: %v", err)
 	}
-	if real1.plan == cplx.plan {
-		t.Fatal("real and complex modes received the same shared plan")
-	}
-	if !real1.plan.RealMode() || cplx.plan.RealMode() {
-		t.Fatalf("mode mismatch: real plan RealMode=%v, complex plan RealMode=%v",
-			real1.plan.RealMode(), cplx.plan.RealMode())
+	for _, wh := range [][2]int{{3987, 10}, {10, 3987}, {50000, 50000}, {0, 10}} {
+		if err := CheckRaster(wh[0], wh[1], p); err == nil {
+			t.Fatalf("raster %dx%d admitted", wh[0], wh[1])
+		}
+		if _, err := NewSimulator(wh[0], wh[1], p); err == nil {
+			t.Fatalf("NewSimulator built a %dx%d simulator", wh[0], wh[1])
+		}
 	}
 }

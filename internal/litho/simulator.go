@@ -42,19 +42,43 @@ type simLane struct {
 	acc []float64
 }
 
-// NewSimulator builds a simulator for a w x h raster under params p. Kernel
-// parallelism defaults to min(par.Workers(), kernel count); SetWorkers
-// overrides it.
-func NewSimulator(w, h int, p Params) (*Simulator, error) {
+// MaxTransformSide bounds the padded FFT side of a simulator: the largest
+// transform size the fft package's engine-equivalence tests cover. At 4 nm
+// it admits rasters near 4000 px a side, far beyond the largest library
+// cell (136 px with a 111 px kernel); what it refuses would need gigabytes
+// of spectra.
+const MaxTransformSide = 4096
+
+// CheckRaster reports whether a w x h raster under p is one NewSimulator
+// accepts: valid params and a padded transform side NextPow2(side+ks-1) of
+// at most MaxTransformSide in both dimensions, ks being the bank's largest
+// kernel. NewSimulator enforces it; a service admitting untrusted layouts
+// calls it first, to refuse an oversized job before queueing it.
+func CheckRaster(w, h int, p Params) error {
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if w <= 0 || h <= 0 {
-		return nil, fmt.Errorf("litho: invalid raster %dx%d", w, h)
+		return fmt.Errorf("litho: invalid raster %dx%d", w, h)
+	}
+	ks := MaxKernelSize(BuildKernelBank(p))
+	if pw, ph := fft.NextPow2(w+ks-1), fft.NextPow2(h+ks-1); pw > MaxTransformSide || ph > MaxTransformSide {
+		return fmt.Errorf("litho: raster %dx%d needs a %dx%d transform, above the %d limit",
+			w, h, pw, ph, MaxTransformSide)
+	}
+	return nil
+}
+
+// NewSimulator builds a simulator for a w x h raster under params p (see
+// CheckRaster for the accepted sizes). Kernel parallelism defaults to
+// min(par.Workers(), kernel count); SetWorkers overrides it.
+func NewSimulator(w, h int, p Params) (*Simulator, error) {
+	if err := CheckRaster(w, h, p); err != nil {
+		return nil, err
 	}
 	// The kernel bank, convolution plan, and kernel spectra are immutable and
-	// identical for every simulator of this (params, raster, mode) tuple, so
-	// they come from the process-wide cache; only mutable scratch is owned.
+	// identical for every simulator of this (params, raster) pair, so they
+	// come from the process-wide cache; only mutable scratch is owned.
 	sh := sharedFor(p, w, h)
 	s := &Simulator{
 		P: p, W: w, H: h, bank: sh.bank, plan: sh.plan, fs: sh.plan.NewScratch(), kffts: sh.kffts,
@@ -112,11 +136,9 @@ func (s *Simulator) ensurePar() {
 	for i := range s.kbuf {
 		s.kbuf[i] = make([]float64, s.W*s.H)
 	}
-	if s.plan.RealMode() {
-		s.kspec = make([][]complex128, len(s.bank))
-		for i := range s.kspec {
-			s.kspec[i] = make([]complex128, s.plan.SpecLen())
-		}
+	s.kspec = make([][]complex128, len(s.bank))
+	for i := range s.kspec {
+		s.kspec[i] = make([]complex128, s.plan.SpecLen())
 	}
 }
 
@@ -195,64 +217,18 @@ func (s *Simulator) Aerial(mask []float64, out []float64, fields *Fields) {
 // amp_k). fields must come from the matching forward Aerial call. gradMask
 // is overwritten, not accumulated into.
 //
-// On the real-input spectral path the per-kernel correlations are fused in
-// the frequency domain: each kernel contributes one forward transform of its
-// weighted field, the products with conj(K_k) accumulate into a single
-// half-spectrum, and one inverse transform produces the whole gradient —
-// K+1 transforms per call instead of the 2K of the kernel-by-kernel adjoint.
-// The complex reference path (LDMO_FFT=complex) keeps the kernel-by-kernel
-// form, preserving the pre-overhaul engine for A/B comparison. Either way
-// the parallel reduction runs in fixed kernel order, so the output is
-// bit-identical to the serial evaluation at any worker count.
+// The per-kernel correlations are fused in the frequency domain: each kernel
+// contributes one forward transform of its weighted field, the products
+// with conj(K_k) accumulate into a single half-spectrum, and one inverse
+// transform produces the whole gradient — K+1 transforms per call instead of
+// the 2K of a kernel-by-kernel adjoint. The clock still charges one
+// convolution per kernel. The parallel reduction runs in fixed kernel order,
+// so the output is bit-identical to the serial evaluation at any worker
+// count.
 func (s *Simulator) AerialBackward(gradI []float64, fields *Fields, gradMask []float64) {
 	if fields == nil {
 		panic("litho: AerialBackward requires fields from Aerial")
 	}
-	if s.plan.RealMode() {
-		s.aerialBackwardFused(gradI, fields, gradMask)
-		return
-	}
-	for i := range gradMask {
-		gradMask[i] = 0
-	}
-	if s.workers > 1 && len(s.bank) > 1 {
-		s.ensurePar()
-		s.pool.Map(len(s.bank), func(lane, k int) {
-			ln := s.lanes[lane]
-			w := s.bank[k].Weight
-			amp := fields.Amp[k]
-			for i := range ln.acc {
-				ln.acc[i] = 2 * w * gradI[i] * amp[i]
-			}
-			s.plan.CorrelateWith(ln.fs, ln.acc, s.kffts[k], s.kbuf[k])
-			s.clock.Charge(simclock.CostConvolution, 1)
-		})
-		for k := range s.bank {
-			f := s.kbuf[k]
-			for i := range gradMask {
-				gradMask[i] += f[i]
-			}
-		}
-		return
-	}
-	for k := range s.bank {
-		w := s.bank[k].Weight
-		amp := fields.Amp[k]
-		for i := range s.acc {
-			s.acc[i] = 2 * w * gradI[i] * amp[i]
-		}
-		s.plan.CorrelateWith(s.fs, s.acc, s.kffts[k], s.field)
-		s.clock.Charge(simclock.CostConvolution, 1)
-		for i := range gradMask {
-			gradMask[i] += s.field[i]
-		}
-	}
-}
-
-// aerialBackwardFused is the spectral-domain gradient accumulation. The
-// clock still charges one convolution per kernel so deterministic model
-// seconds stay comparable across engine modes.
-func (s *Simulator) aerialBackwardFused(gradI []float64, fields *Fields, gradMask []float64) {
 	acc := s.specAcc
 	for i := range acc {
 		acc[i] = 0

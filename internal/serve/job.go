@@ -68,7 +68,7 @@ type JobSpec struct {
 	// the forced best-effort run; 0 means all.
 	MaxAttempts int `json:"max_attempts,omitempty"`
 	// Warm opts the job into learned ILT warm-starting when the server was
-	// started with a warm-start net (and the LDMO_WARMSTART gate is open).
+	// started with a warm-start net.
 	// Part of the content hash: a warm job and a cold job are different jobs
 	// with separately cached results.
 	Warm bool `json:"warm,omitempty"`

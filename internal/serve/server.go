@@ -20,6 +20,7 @@ import (
 	"ldmo/internal/core"
 	"ldmo/internal/ilt"
 	"ldmo/internal/layout"
+	"ldmo/internal/litho"
 	"ldmo/internal/par"
 	"ldmo/internal/runx"
 )
@@ -49,8 +50,7 @@ type Config struct {
 	// generator candidate order (the no-predictor ablation).
 	Scorer core.Scorer
 	// WarmStarter is the optional learned ILT warm-start net, applied to jobs
-	// that set spec.Warm (subject to the LDMO_WARMSTART gate). nil runs every
-	// job cold regardless of the spec.
+	// that set spec.Warm. nil runs every job cold regardless of the spec.
 	WarmStarter ilt.Initializer
 	// RetryAfter is the hint sent with 429 responses; <=0 selects 1s.
 	RetryAfter time.Duration
@@ -294,9 +294,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid job spec: %v", err)
 		return
 	}
-	// Materialize now so a malformed GDS/CSV fails the submission with 400
-	// instead of failing the job later.
-	if _, err := spec.Layout(); err != nil {
+	// Materialize now so a malformed GDS/CSV — or a layout whose raster the
+	// simulator would refuse — fails the submission with 400 instead of
+	// failing (or exhausting memory in) the job later.
+	l, err := spec.Layout()
+	if err == nil {
+		p := s.flowConfig(spec).ILT.Litho
+		err = litho.CheckRaster(l.Window.W()/p.Resolution, l.Window.H()/p.Resolution, p)
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid layout: %v", err)
 		return
 	}
@@ -346,7 +352,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Status:        StatusQueued,
 		SubmittedUnix: time.Now().Unix(),
 	}
-	err := s.store.PutSpec(id, spec)
+	err = s.store.PutSpec(id, spec)
 	if err == nil {
 		err = s.store.PutState(state)
 	}

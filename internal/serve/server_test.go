@@ -137,6 +137,40 @@ func TestSubmitPollResult(t *testing.T) {
 	}
 }
 
+// TestOversizedRasterRejected: a CSV whose window rasterizes to 50 000 x
+// 50 000 px passes Validate and Layout, but simulating it would need tens of
+// gigabytes of spectra. The submission is refused with 400 by the
+// simulator's own raster check before anything is queued or persisted, and
+// the server keeps serving real jobs.
+func TestOversizedRasterRejected(t *testing.T) {
+	s, ts := newTestServer(t, nil)
+	s.Start()
+	spec := JobSpec{CSV: "# window 0 0 400000 400000\n100,100,200,200\n", Fast: true}
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("spec no longer passes Validate (%v); the test needs a spec that does", err)
+	}
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, _, _ := submit(t, ts, "big", string(body)); code != http.StatusBadRequest {
+		t.Fatalf("oversized raster: %d, want 400", code)
+	}
+	if got := s.Stats(); got.Accepted != 0 || got.QueueLen != 0 {
+		t.Fatalf("oversized job admitted: %+v", got)
+	}
+	if code := getCode(t, ts, "/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz after the rejection: %d, want 200", code)
+	}
+	code, sr, _ := submit(t, ts, "cell", `{"cell":"INV_X1","fast":true,"max_attempts":1}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("library-cell job: %d, want 202", code)
+	}
+	if st := waitJob(t, ts, sr.ID); st.Status != StatusDone {
+		t.Fatalf("library-cell job settled %q (%s), want done", st.Status, st.Error)
+	}
+}
+
 func TestOverloadShedsWith429(t *testing.T) {
 	s, ts := newTestServer(t, func(c *Config) { c.QueueCap = 2 })
 	// No Start: the queue cannot drain, modelling a saturated server.

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ldmo/internal/grid"
-	"ldmo/internal/ilt"
 )
 
 // fakeWarm is a deterministic warm-starter with a configurable checkpoint
@@ -89,7 +88,6 @@ func (noDigestWarm) WarmMasksInto(c1, c2 *grid.Grid, w1, w2 []float64) bool { re
 // the warm spec is a distinct job (own ID, own group), the warm-starter is
 // consulted exactly for it, and both settle done.
 func TestWarmJobTogglesPerSpec(t *testing.T) {
-	t.Setenv(ilt.EnvWarm, "on")
 	fw := &fakeWarm{digest: "cafe"}
 	s, ts := newTestServer(t, func(c *Config) { c.WarmStarter = fw })
 	s.Start()

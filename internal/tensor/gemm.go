@@ -1,38 +1,18 @@
 // Blocked, panel-packed GEMM kernels — the compute core under every conv and
-// linear layer. The naive ikj loops the package started with are kept as the
-// A/B reference (select with LDMO_GEMM=naive); the default engine here blocks
-// the operands into cache-sized panels, packs them into contiguous scratch
-// (pooled, size-keyed — see scratch.go), and runs a register-tiled
-// micro-kernel over fixed-order strips.
+// linear layer. The engine blocks the operands into cache-sized panels,
+// packs them into contiguous scratch (pooled, size-keyed — see scratch.go),
+// and runs a register-tiled micro-kernel over fixed-order strips.
 //
 // Determinism is part of the kernel contract, exactly as for the spectral
 // engine: every output element accumulates its k-products in ascending-k
 // order regardless of blocking, packing, or row-parallel sharding, so the
-// blocked engine is bit-identical to the naive reference on finite inputs
-// and bit-identical to itself at any worker count. The golden tests in
-// internal/nn and internal/model lean on this: swapping engines may not move
-// a single discrete flow decision.
+// blocked engine is bit-identical to the naive ikj loops the package started
+// with (kept in the tests as the reference, with go test -bench A/B
+// benchmarks) on finite inputs, and bit-identical to itself at any worker
+// count.
 package tensor
 
-import (
-	"os"
-
-	"ldmo/internal/par"
-)
-
-// EnvGEMM selects the matrix engine: the default is the blocked/packed
-// engine; LDMO_GEMM=naive restores the original ikj reference kernels for
-// A/B benchmarking and regression hunts.
-const EnvGEMM = "LDMO_GEMM"
-
-// ModeNaive is the EnvGEMM value selecting the naive reference kernels.
-const ModeNaive = "naive"
-
-// naiveMode reports whether the reference engine is requested. Read per
-// call: the kernels are invoked once per layer per pass, so the lookup is
-// noise next to the GEMM itself, and per-call dispatch lets benchmarks A/B
-// both engines in one process without rebuilding any state.
-func naiveMode() bool { return os.Getenv(EnvGEMM) == ModeNaive }
+import "ldmo/internal/par"
 
 // Blocking parameters. kc*nc*8 bytes of packed B (~1 MiB) sits in L2 across
 // a whole row sweep; each 4-row packed A strip (4*kc*8 = 8 KiB) stays in L1

@@ -1,12 +1,10 @@
 // Package tensor provides the dense NCHW tensors and the matrix/convolution
 // primitives (GEMM, im2col/col2im) underneath the neural-network layers of
-// the printability predictor. Everything is float64. The default matrix
-// engine is the cache-blocked, panel-packed GEMM in gemm.go; LDMO_GEMM=naive
-// selects the original reference loops, and both engines accumulate every
-// output element in ascending-k order so they agree bit for bit on finite
-// inputs. The kernels are serial unless SetWorkers enables the row-parallel
-// (and still bit-identical) blocked drivers; batch-level parallelism lives
-// in the callers.
+// the printability predictor. Everything is float64. The matrix engine is
+// the cache-blocked, panel-packed GEMM in gemm.go, which accumulates every
+// output element in ascending-k order. The kernels are serial unless
+// SetWorkers enables the row-parallel (and still bit-identical) blocked
+// drivers; batch-level parallelism lives in the callers.
 package tensor
 
 import (
@@ -113,42 +111,14 @@ func (t *Tensor) MaxAbs() float64 {
 }
 
 // MatMul computes C = A x B for row-major matrices: A is m x k, B is k x n,
-// out is m x n. out must not alias a or b. The default engine is the
-// blocked/packed GEMM in gemm.go; LDMO_GEMM=naive selects the original ikj
-// reference loop. Both accumulate each output element in ascending-k order,
-// so on finite inputs the engines are bit-identical.
+// out is m x n. out must not alias a or b. It runs the blocked/packed GEMM
+// in gemm.go, which accumulates each output element in ascending-k order.
 func MatMul(a []float64, m, k int, b []float64, n int, out []float64) {
 	if len(a) < m*k || len(b) < k*n || len(out) < m*n {
 		panic(fmt.Sprintf("tensor: matmul size mismatch m=%d k=%d n=%d (a=%d b=%d out=%d)",
 			m, k, n, len(a), len(b), len(out)))
 	}
-	if naiveMode() {
-		matMulNaive(a, m, k, b, n, out)
-		return
-	}
 	gemmPacked(a, false, m, k, b, n, out)
-}
-
-// matMulNaive is the reference ikj loop the package started with, kept
-// verbatim behind LDMO_GEMM=naive as the A/B baseline.
-func matMulNaive(a []float64, m, k int, b []float64, n int, out []float64) {
-	for i := 0; i < m*n; i++ {
-		out[i] = 0
-	}
-	for i := 0; i < m; i++ {
-		arow := a[i*k : (i+1)*k]
-		orow := out[i*n : (i+1)*n]
-		for kk := 0; kk < k; kk++ {
-			av := arow[kk]
-			if av == 0 {
-				continue
-			}
-			brow := b[kk*n : (kk+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
-			}
-		}
-	}
 }
 
 // MatMulATB computes out = A^T x B where A is k x m (so A^T is m x k) and B
@@ -158,32 +128,7 @@ func MatMulATB(a []float64, k, m int, b []float64, n int, out []float64) {
 	if len(a) < k*m || len(b) < k*n || len(out) < m*n {
 		panic("tensor: matmulATB size mismatch")
 	}
-	if naiveMode() {
-		matMulATBNaive(a, k, m, b, n, out)
-		return
-	}
 	gemmPacked(a, true, m, k, b, n, out)
-}
-
-// matMulATBNaive is the reference kij loop for the transposed-A product.
-func matMulATBNaive(a []float64, k, m int, b []float64, n int, out []float64) {
-	for i := 0; i < m*n; i++ {
-		out[i] = 0
-	}
-	for kk := 0; kk < k; kk++ {
-		arow := a[kk*m : (kk+1)*m]
-		brow := b[kk*n : (kk+1)*n]
-		for i := 0; i < m; i++ {
-			av := arow[i]
-			if av == 0 {
-				continue
-			}
-			orow := out[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
-			}
-		}
-	}
 }
 
 // MatMulABT computes out = A x B^T where A is m x k and B is n x k; out is
@@ -192,27 +137,7 @@ func MatMulABT(a []float64, m, k int, b []float64, n int, out []float64) {
 	if len(a) < m*k || len(b) < n*k || len(out) < m*n {
 		panic("tensor: matmulABT size mismatch")
 	}
-	if naiveMode() {
-		matMulABTNaive(a, m, k, b, n, out)
-		return
-	}
 	gemmABT(a, m, k, b, n, out)
-}
-
-// matMulABTNaive is the reference dot-product loop for A x B^T.
-func matMulABTNaive(a []float64, m, k int, b []float64, n int, out []float64) {
-	for i := 0; i < m; i++ {
-		arow := a[i*k : (i+1)*k]
-		orow := out[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := b[j*k : (j+1)*k]
-			s := 0.0
-			for kk := 0; kk < k; kk++ {
-				s += arow[kk] * brow[kk]
-			}
-			orow[j] = s
-		}
-	}
 }
 
 // ConvGeom describes one convolution geometry.
