@@ -187,8 +187,9 @@ func TestVecPlanEngineBitIdentical(t *testing.T) {
 		diffFloat(t, "correlate", outV, outS)
 
 		// Fused adjoint path: accumulate conj products on each engine (the
-		// scalar side spelled out, as AccumulateConj and MulConj run the
-		// host's engine), then inverse-transform through the matching plan.
+		// scalar side spelled out, as AccumulateConj runs the host's engine,
+		// and cmulConjInto checked in place, as ApplySpecWith's correlation
+		// runs it), then inverse-transform through the matching plan.
 		accS := make([]complex128, ps.SpecLen())
 		accV := make([]complex128, pv.SpecLen())
 		for i, k := range kfS {
@@ -196,7 +197,7 @@ func TestVecPlanEngineBitIdentical(t *testing.T) {
 			specS[i] = specS[i] * complex(real(k), -imag(k))
 		}
 		AccumulateConj(accV, specV, kfV)
-		MulConj(specV, specV, kfV)
+		cmulConjInto(specV, specV, kfV)
 		diffComplex(t, "accumulate-conj", accV, accS)
 		diffComplex(t, "mul-conj", specV, specS)
 		ps.InverseSpec(ps.NewScratch(), accS, outS)

@@ -262,22 +262,6 @@ func AccumulateConj(acc, spec, kfft []complex128) {
 	}
 }
 
-// MulConj writes spec[i] * conj(kfft[i]) into dst — the non-accumulating
-// form of AccumulateConj used by workers that own a private per-kernel
-// spectrum buffer. All three slices must share one plan's spectral layout.
-func MulConj(dst, spec, kfft []complex128) {
-	if len(dst) != len(spec) || len(dst) != len(kfft) {
-		panic(fmt.Sprintf("fft: mulconj length mismatch %d/%d/%d", len(dst), len(spec), len(kfft)))
-	}
-	if haveFFTASM {
-		cmulConjInto(dst, spec, kfft)
-		return
-	}
-	for i, k := range kfft {
-		dst[i] = spec[i] * complex(real(k), -imag(k))
-	}
-}
-
 // DirectConvolve is the O(W*H*KW*KH) reference implementation of the same
 // zero-padded convolution Plan.Convolve computes. It exists as the test
 // oracle and for tiny kernels where FFT overhead dominates.

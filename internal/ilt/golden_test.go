@@ -178,7 +178,7 @@ func TestSessionStepSteadyStateAllocs(t *testing.T) {
 	grew := allocBytes() - before
 	// The fft/litho layers must contribute nothing; the budget below is the
 	// EPE meter's small per-measure bookkeeping only (well under one raster).
-	raster := uint64(opt.sim.W * opt.sim.H * 8)
+	raster := uint64(opt.sims[0].W * opt.sims[0].H * 8)
 	if grew > raster {
 		t.Errorf("8 ILT steps allocated %d bytes, more than one %d-byte raster", grew, raster)
 	}

@@ -14,6 +14,7 @@ import (
 	"ldmo/internal/grid"
 	"ldmo/internal/layout"
 	"ldmo/internal/litho"
+	"ldmo/internal/par"
 	"ldmo/internal/simclock"
 )
 
@@ -156,11 +157,15 @@ type Optimizer struct {
 	cfg      Config
 	maxIters int // configured budget, restorable after SetMaxIters
 	layout   layout.Layout
-	sim      *litho.Simulator
-	target   *grid.Grid
-	cps      []epe.Checkpoint
-	clock    *simclock.Clock
-	spare    *Session // recycled between RunCtx calls; see session()
+	// sims holds one serial simulator per mask, so each mask's litho chain
+	// runs as its own lane of the lanes pool. Both share the cached kernel
+	// bank, plan and kernel spectra; each owns only its scratch.
+	sims   [2]*litho.Simulator
+	lanes  *par.Pool
+	target *grid.Grid
+	cps    []epe.Checkpoint
+	clock  *simclock.Clock
+	spare  *Session // recycled between RunCtx calls; see session()
 }
 
 // NewOptimizer builds an optimizer for the layout under the given config.
@@ -175,25 +180,32 @@ func NewOptimizer(l layout.Layout, cfg Config) (*Optimizer, error) {
 	if w <= 0 || h <= 0 {
 		return nil, fmt.Errorf("ilt: window %v too small for resolution %d", l.Window, res)
 	}
-	sim, err := litho.NewSimulator(w, h, cfg.Litho)
-	if err != nil {
-		return nil, err
+	var sims [2]*litho.Simulator
+	for i := range sims {
+		sim, err := litho.NewSimulator(w, h, cfg.Litho)
+		if err != nil {
+			return nil, err
+		}
+		sims[i] = sim
 	}
 	return &Optimizer{
 		cfg:      cfg,
 		maxIters: cfg.MaxIters,
 		layout:   l,
-		sim:      sim,
+		sims:     sims,
+		lanes:    par.NewPool(min(par.Workers(), len(sims))),
 		target:   l.Rasterize(res),
 		cps:      epe.GenerateCheckpoints(l.Patterns, cfg.CheckpointSpacing),
 	}, nil
 }
 
 // SetClock attaches deterministic cost accounting to the optimizer's
-// simulator.
+// simulators.
 func (o *Optimizer) SetClock(c *simclock.Clock) {
 	o.clock = c
-	o.sim.SetClock(c)
+	for _, sim := range o.sims {
+		sim.SetClock(c)
+	}
 }
 
 // Config returns the normalized configuration in use.

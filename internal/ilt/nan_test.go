@@ -2,6 +2,7 @@ package ilt
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"ldmo/internal/faultinject"
@@ -24,6 +25,7 @@ func TestILTNaNOneShotRecovers(t *testing.T) {
 	defer faultinject.Reset()
 	d, opt := firstCand(t)
 
+	clean := opt.Run(d)
 	faultinject.Set(faultinject.ILTNaN, "5") // fire once at iteration 5
 	r := opt.Run(d)
 	if r.NumericalFault {
@@ -46,6 +48,12 @@ func TestILTNaNOneShotRecovers(t *testing.T) {
 	}
 	if faultinject.Enabled(faultinject.ILTNaN) {
 		t.Fatal("one-shot point still armed after firing")
+	}
+	// The rollback lands on the iteration-3 check boundary, and iteration 4
+	// is re-simulated from that state — not from the images of the faulted
+	// iteration — so the trace up to it matches the clean run's.
+	if !reflect.DeepEqual(r.Trace[:4], clean.Trace[:4]) {
+		t.Fatalf("recovered trace %+v does not restart from the clean run's %+v", r.Trace[:4], clean.Trace[:4])
 	}
 }
 

@@ -16,7 +16,19 @@ import (
 // candidates on warm intermediate states exactly as the ICCAD'17 flow does;
 // Optimizer.Run is itself implemented on top of a session.
 //
-// Sessions of the same Optimizer share its simulator scratch buffers, so
+// The two masks' litho chains are independent until Eq. 3 composes them, so
+// each runs as one lane of the optimizer's pool on that mask's own
+// simulator: the forward pass (Eq. 1 sigmoid, aerial image, Eq. 2 resist)
+// and the backward pass with its parameter update. Composition, loss, EPE
+// and dL/dT stay on the caller between the two fan-outs. Every lane writes
+// only its own mask's buffers, so results are bit-identical at any worker
+// count.
+//
+// A parameter state is simulated once: Snapshot leaves its images current,
+// and the next Step iteration starts from them instead of repeating the
+// forward pass.
+//
+// Sessions of the same Optimizer share its simulators' scratch buffers, so
 // only one session may be stepped at a time (interleaving Step calls across
 // sessions is fine; calling Step concurrently is not).
 type Session struct {
@@ -31,8 +43,16 @@ type Session struct {
 	composed *grid.Grid
 	sat      []bool
 	gradT    []float64
-	gradI    []float64
-	gradM    []float64
+	gradI    [2][]float64
+	gradM    [2][]float64
+	gradBad  [2]bool // lane i's gradient was non-finite
+
+	// current reports that the image buffers hold the forward pass of the
+	// current parameters p; any change to p clears it.
+	current bool
+	// forwardLane and backwardLane are the per-mask lane bodies, bound once
+	// so a fan-out allocates no closure.
+	forwardLane, backwardLane func(worker, i int)
 
 	trace []IterStat
 
@@ -63,14 +83,12 @@ const maxNaNRetries = 3
 func (o *Optimizer) NewSession(d interface {
 	Masks(res int) (*grid.Grid, *grid.Grid)
 }) *Session {
-	n := o.sim.W * o.sim.H
+	n := o.target.W * o.target.H
 	s := &Session{
 		o:        o,
 		composed: grid.NewLike(o.target),
 		sat:      make([]bool, n),
 		gradT:    make([]float64, n),
-		gradI:    make([]float64, n),
-		gradM:    make([]float64, n),
 		// The trace grows by one row per iteration; reserving the full
 		// budget up front keeps the steady-state Step loop append-free.
 		trace: make([]IterStat, 0, o.cfg.MaxIters+1),
@@ -80,9 +98,13 @@ func (o *Optimizer) NewSession(d interface {
 		s.m[i] = make([]float64, n)
 		s.aerial[i] = make([]float64, n)
 		s.resist[i] = make([]float64, n)
-		s.fields[i] = o.sim.NewFields()
+		s.fields[i] = o.sims[i].NewFields()
+		s.gradI[i] = make([]float64, n)
+		s.gradM[i] = make([]float64, n)
 		s.snapP[i] = make([]float64, n)
 	}
+	s.forwardLane = s.forwardMask
+	s.backwardLane = s.backwardMask
 	s.reset(d)
 	return s
 }
@@ -98,6 +120,7 @@ func (s *Session) reset(d interface {
 	o := s.o
 	m1g, m2g := d.Masks(o.cfg.Litho.Resolution)
 	s.iter = 0
+	s.current = false
 	// The budget may have grown via SetMaxIters since this session was built.
 	if cap(s.trace) < o.cfg.MaxIters+1 {
 		s.trace = make([]IterStat, 0, o.cfg.MaxIters+1)
@@ -151,18 +174,41 @@ func (s *Session) reset(d interface {
 // Iter returns the number of gradient iterations performed so far.
 func (s *Session) Iter() int { return s.iter }
 
-// forward evaluates the current masks into the session's image buffers.
-func (s *Session) forward(withFields bool) {
-	for i := 0; i < 2; i++ {
-		litho.MaskSigmoid(s.o.cfg.Litho.ThetaM, s.p[i], s.m[i])
-		f := s.fields[i]
-		if !withFields {
-			f = nil
-		}
-		s.o.sim.Aerial(s.m[i], s.aerial[i], f)
-		s.o.sim.Resist(s.aerial[i], s.resist[i])
-	}
+// forward evaluates the current masks into the session's image buffers,
+// keeping the per-kernel fields a backward pass needs, and marks them
+// current.
+func (s *Session) forward() {
+	s.o.lanes.Map(2, s.forwardLane)
 	litho.ComposeDouble(s.resist[0], s.resist[1], s.composed.Data, s.sat)
+	s.current = true
+}
+
+// forwardMask is mask i's forward lane: Eq. 1, the aerial image and Eq. 2.
+func (s *Session) forwardMask(_, i int) {
+	sim := s.o.sims[i]
+	litho.MaskSigmoid(s.o.cfg.Litho.ThetaM, s.p[i], s.m[i])
+	sim.Aerial(s.m[i], s.aerial[i], s.fields[i])
+	sim.Resist(s.aerial[i], s.resist[i])
+}
+
+// backwardMask is mask i's backward lane: dL/dT through the resist and the
+// aerial adjoint to dL/dM, then the gradient step on P through Eq. 1. A
+// non-finite gradient leaves the parameters untouched and is reported in
+// gradBad for the caller to latch once both lanes are done.
+func (s *Session) backwardMask(_, i int) {
+	sim := s.o.sims[i]
+	sim.ResistBackward(s.gradT, s.resist[i], s.gradI[i])
+	sim.AerialBackward(s.gradI[i], s.fields[i], s.gradM[i])
+	s.gradBad[i] = !finiteSlice(s.gradM[i])
+	if s.gradBad[i] {
+		return
+	}
+	tm := s.o.cfg.Litho.ThetaM
+	step := s.o.cfg.StepSize * s.stepScale
+	pi, mi, gm := s.p[i], s.m[i], s.gradM[i]
+	for j := range pi {
+		pi[j] -= step * gm[j] * tm * mi[j] * (1 - mi[j])
+	}
 }
 
 // Step performs n gradient iterations (not exceeding the configured budget)
@@ -173,7 +219,9 @@ func (s *Session) forward(withFields bool) {
 func (s *Session) Step(n int) int {
 	done := 0
 	for ; done < n && s.iter < s.o.cfg.MaxIters && !s.fault; done++ {
-		s.forward(true)
+		if !s.current {
+			s.forward()
+		}
 		s.iter++
 		l2 := s.composed.L2Diff(s.o.target)
 		if faultinject.FireAt(faultinject.ILTNaN, s.iter) {
@@ -193,20 +241,9 @@ func (s *Session) Step(n int) int {
 				s.gradT[j] = 2 * (s.composed.Data[j] - s.o.target.Data[j])
 			}
 		}
-		for i := 0; i < 2; i++ {
-			s.o.sim.ResistBackward(s.gradT, s.resist[i], s.gradI)
-			s.o.sim.AerialBackward(s.gradI, s.fields[i], s.gradM)
-			if !finiteSlice(s.gradM) {
-				s.fault = true
-				break
-			}
-			tm := s.o.cfg.Litho.ThetaM
-			pi := s.p[i]
-			mi := s.m[i]
-			for j := range pi {
-				pi[j] -= s.o.cfg.StepSize * s.stepScale * s.gradM[j] * tm * mi[j] * (1 - mi[j])
-			}
-		}
+		s.o.lanes.Map(2, s.backwardLane)
+		s.current = false
+		s.fault = s.gradBad[0] || s.gradBad[1]
 		s.divergePoint()
 	}
 	return done
@@ -245,6 +282,7 @@ func (s *Session) restoreGood() {
 	s.iter = s.snapIter
 	s.trace = s.trace[:s.snapTraceLen]
 	s.fault = false
+	s.current = false
 }
 
 // recover attempts one bounded rollback: restore the last good state and
@@ -299,10 +337,14 @@ func (s *Session) plateaued(window int, tol float64) bool {
 	return (first-last)/first < tol
 }
 
-// Snapshot evaluates the current masks (one forward pass) and returns the
-// full printability measurement without advancing the iteration counter.
+// Snapshot evaluates the current masks and returns the full printability
+// measurement without advancing the iteration counter. Its forward pass is
+// the one the next Step iteration starts from, so a check between chunks
+// costs no extra simulation; with the images already current it runs none.
 func (s *Session) Snapshot() Result {
-	s.forward(false)
+	if !s.current {
+		s.forward()
+	}
 	res := Result{Iters: s.iter, NaNRecoveries: s.nanRetries, WarmStart: s.warmed, Trace: append([]IterStat(nil), s.trace...)}
 	res.L2 = s.composed.L2Diff(s.o.target)
 	res.EPE = s.o.cfg.Meter.Measure(s.composed, s.o.cps)

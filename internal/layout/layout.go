@@ -18,6 +18,15 @@ import (
 	"ldmo/internal/grid"
 )
 
+// MaxPatterns bounds the pattern count of a layout accepted from an
+// untrusted source. Decomposition generation grows steeply with the number of
+// interacting patterns and is not checked against a context: on a dense grid
+// of contacts at 150 nm pitch, where every pattern is violation-prone, it
+// takes about 1 s for 28 contacts and 2 s for 32 (2-CPU x86-64 host), and
+// tens of seconds beyond 60. The bound keeps the worst case near a second;
+// library cells and generated layouts have at most 9 contacts.
+const MaxPatterns = 28
+
 // Layout is a named set of target patterns inside a simulation window.
 type Layout struct {
 	Name     string

@@ -60,7 +60,7 @@ func TestEngineGoldenFields(t *testing.T) {
 	mask := randMask(rng, w*h)
 	gradT := randMask(rng, w*h)
 
-	s := newTestSim(t, w, h, 1)
+	s := newTestSim(t, w, h)
 	aerial := make([]float64, w*h)
 	resist := make([]float64, w*h)
 	gradMask := make([]float64, w*h)
@@ -97,7 +97,7 @@ func TestFusedBackwardMatchesDirectAdjoint(t *testing.T) {
 	mask := randMask(rng, w*h)
 	gradI := randMask(rng, w*h)
 
-	s := newTestSim(t, w, h, 1)
+	s := newTestSim(t, w, h)
 	fields := s.NewFields()
 	aerial := make([]float64, w*h)
 	s.Aerial(mask, aerial, fields)
@@ -132,7 +132,7 @@ func TestSimulatorHotPathZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(80))
 	mask := randMask(rng, w*h)
 	gradI := randMask(rng, w*h)
-	s := newTestSim(t, w, h, 1)
+	s := newTestSim(t, w, h)
 	fields := s.NewFields()
 	aerial := make([]float64, w*h)
 	gradMask := make([]float64, w*h)

@@ -9,13 +9,12 @@ import (
 )
 
 // newTestSim builds a simulator over the default two-kernel bank.
-func newTestSim(t testing.TB, w, h, workers int) *Simulator {
+func newTestSim(t testing.TB, w, h int) *Simulator {
 	t.Helper()
 	s, err := NewSimulator(w, h, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetWorkers(workers)
 	return s
 }
 
@@ -27,104 +26,30 @@ func randMask(rng *rand.Rand, n int) []float64 {
 	return m
 }
 
-// TestAerialParallelBitIdentical is the tentpole determinism guarantee:
-// kernel-parallel Aerial and AerialBackward produce byte-identical images,
-// fields, and gradients to the serial simulator.
-func TestAerialParallelBitIdentical(t *testing.T) {
-	const w, h = 48, 40
-	rng := rand.New(rand.NewSource(61))
-	mask := randMask(rng, w*h)
-	gradI := randMask(rng, w*h)
-
-	serial := newTestSim(t, w, h, 1)
-	parallel := newTestSim(t, w, h, 4)
-	if serial.Workers() != 1 {
-		t.Fatalf("serial sim workers = %d", serial.Workers())
-	}
-	if parallel.Workers() < 2 {
-		t.Skipf("bank of %d kernels cannot parallelize", parallel.KernelCount())
-	}
-
-	outS, outP := make([]float64, w*h), make([]float64, w*h)
-	fS, fP := serial.NewFields(), parallel.NewFields()
-	serial.Aerial(mask, outS, fS)
-	parallel.Aerial(mask, outP, fP)
-	for i := range outS {
-		if outS[i] != outP[i] {
-			t.Fatalf("aerial differs at %d: %g vs %g", i, outP[i], outS[i])
-		}
-	}
-	for k := range fS.Amp {
-		for i := range fS.Amp[k] {
-			if fS.Amp[k][i] != fP.Amp[k][i] {
-				t.Fatalf("field %d differs at %d", k, i)
-			}
-		}
-	}
-
-	// Without fields (the snapshot path) the image must also match.
-	parallel.Aerial(mask, outP, nil)
-	for i := range outS {
-		if outS[i] != outP[i] {
-			t.Fatalf("fieldless aerial differs at %d", i)
-		}
-	}
-
-	gS, gP := make([]float64, w*h), make([]float64, w*h)
-	serial.AerialBackward(gradI, fS, gS)
-	parallel.AerialBackward(gradI, fP, gP)
-	for i := range gS {
-		if gS[i] != gP[i] {
-			t.Fatalf("gradient differs at %d: %g vs %g", i, gP[i], gS[i])
-		}
-	}
-}
-
-// TestParallelClockCharges verifies convolution accounting is identical under
-// kernel parallelism.
+// TestParallelClockCharges verifies the accounting of one forward/backward
+// pair: K convolutions each way, so an ILT lane charges 2K per iteration.
 func TestParallelClockCharges(t *testing.T) {
 	const w, h = 32, 32
 	mask := randMask(rand.New(rand.NewSource(5)), w*h)
 	out := make([]float64, w*h)
-	for _, workers := range []int{1, 4} {
-		s := newTestSim(t, w, h, workers)
-		clock := simclock.New(simclock.DefaultModel())
-		s.SetClock(clock)
-		f := s.NewFields()
-		s.Aerial(mask, out, f)
-		s.AerialBackward(out, f, out)
-		want := int64(2 * s.KernelCount())
-		if got := clock.Count(simclock.CostConvolution); got != want {
-			t.Fatalf("workers=%d: charged %d convolutions, want %d", workers, got, want)
-		}
+	s := newTestSim(t, w, h)
+	clock := simclock.New(simclock.DefaultModel())
+	s.SetClock(clock)
+	f := s.NewFields()
+	s.Aerial(mask, out, f)
+	s.AerialBackward(out, f, out)
+	want := int64(2 * s.KernelCount())
+	if got := clock.Count(simclock.CostConvolution); got != want {
+		t.Fatalf("charged %d convolutions, want %d", got, want)
 	}
 }
 
-// TestSetWorkersReconfigure exercises switching parallelism on a live
-// simulator.
-func TestSetWorkersReconfigure(t *testing.T) {
-	const w, h = 16, 16
-	s := newTestSim(t, w, h, 4)
-	mask := randMask(rand.New(rand.NewSource(9)), w*h)
-	a := make([]float64, w*h)
-	b := make([]float64, w*h)
-	s.Aerial(mask, a, nil)
-	s.SetWorkers(1)
-	s.Aerial(mask, b, nil)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("reconfigured simulator diverged at %d", i)
-		}
-	}
-	if s.Workers() != 1 {
-		t.Fatalf("workers = %d after SetWorkers(1)", s.Workers())
-	}
-}
-
-// TestPooledSimulatorsSharedClockStress is the issue's race/stress test: N
-// goroutines each drive their own kernel-parallel simulator through
-// Aerial+AerialBackward while all charge one shared clock. Run under -race
-// (scripts/ci.sh does); the assertion checks the shared accounting.
+// TestPooledSimulatorsSharedClockStress is the race/stress test of the
+// one-simulator-per-goroutine contract: N goroutines each drive their own
+// serial simulator — all sharing one cached plan, kernel bank and kernel
+// spectra — through Aerial+AerialBackward while all charge one shared clock.
+// Run under -race (scripts/ci.sh does); the assertion checks the shared
+// accounting.
 func TestPooledSimulatorsSharedClockStress(t *testing.T) {
 	const (
 		w, h   = 32, 32
@@ -135,7 +60,7 @@ func TestPooledSimulatorsSharedClockStress(t *testing.T) {
 	var wg sync.WaitGroup
 	kernels := 0
 	for lane := 0; lane < lanes; lane++ {
-		sim := newTestSim(t, w, h, 2)
+		sim := newTestSim(t, w, h)
 		sim.SetClock(clock)
 		kernels = sim.KernelCount()
 		rng := rand.New(rand.NewSource(int64(100 + lane)))
@@ -159,9 +84,9 @@ func TestPooledSimulatorsSharedClockStress(t *testing.T) {
 	}
 }
 
-func benchmarkSim(b *testing.B, workers int, backward bool) {
+func benchmarkSim(b *testing.B, backward bool) {
 	const w, h = 224, 224
-	s := newTestSim(b, w, h, workers)
+	s := newTestSim(b, w, h)
 	mask := randMask(rand.New(rand.NewSource(1)), w*h)
 	out := make([]float64, w*h)
 	grad := make([]float64, w*h)
@@ -178,7 +103,5 @@ func benchmarkSim(b *testing.B, workers int, backward bool) {
 	}
 }
 
-func BenchmarkAerial(b *testing.B)                 { benchmarkSim(b, 1, false) }
-func BenchmarkAerialParallel(b *testing.B)         { benchmarkSim(b, 0, false) }
-func BenchmarkAerialBackward(b *testing.B)         { benchmarkSim(b, 1, true) }
-func BenchmarkAerialBackwardParallel(b *testing.B) { benchmarkSim(b, 0, true) }
+func BenchmarkAerial(b *testing.B)         { benchmarkSim(b, false) }
+func BenchmarkAerialBackward(b *testing.B) { benchmarkSim(b, true) }

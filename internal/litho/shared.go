@@ -10,9 +10,9 @@ import (
 // (process params, raster geometry) combination: the SOCS
 // kernel bank, the convolution plan, and the transformed kernel spectra.
 // Deriving these is the dominant cost of standing up a simulator (and with
-// it an ILT optimizer); sharing them turns per-layout optimizer construction
-// in the pipelined flow — and per-lane construction in OracleSelect — into
-// buffer allocation only. All three fields are read-only after construction
+// it an ILT optimizer, which holds one simulator per mask); sharing them
+// turns per-layout optimizer construction in the pipelined flow — and
+// per-lane construction in OracleSelect — into buffer allocation only. All three fields are read-only after construction
 // and therefore safe to share across any number of simulators and
 // goroutines; mutable per-run state stays in the owning Simulator.
 type simShared struct {

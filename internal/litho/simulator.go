@@ -5,41 +5,27 @@ import (
 
 	"ldmo/internal/fft"
 	"ldmo/internal/grid"
-	"ldmo/internal/par"
 	"ldmo/internal/simclock"
 )
 
 // Simulator evaluates the forward optical model on a fixed w x h raster and
 // exposes the adjoint (backward) pass the ILT engine differentiates through.
-// A Simulator is not safe for concurrent use; create one per goroutine. It
-// may parallelize internally across its SOCS kernel bank (see SetWorkers):
-// the mask's forward transform is computed once and shared, each worker lane
-// owns its own inverse-FFT scratch and accumulation buffers, and the
-// per-kernel contributions are reduced in fixed kernel order, so the output
-// is bit-identical to the serial evaluation.
+// A Simulator is a serial, single-goroutine object: it owns its transform
+// scratch and accumulation buffers, so it is not safe for concurrent use.
+// Callers that want parallelism run one Simulator per goroutine; simulators
+// of one (params, raster) pair share the immutable kernel bank, plan and
+// kernel spectra, so each extra one costs only its scratch.
 type Simulator struct {
 	P       Params
 	W, H    int
 	bank    []Kernel
 	plan    *fft.Plan
-	fs      *fft.Scratch // the serial lane's transform workspace
+	fs      *fft.Scratch // transform workspace
 	kffts   [][]complex128
 	field   []float64    // scratch: amplitude field of the current kernel
 	acc     []float64    // scratch: gradient accumulation
 	specAcc []complex128 // scratch: fused spectral gradient accumulator
 	clock   *simclock.Clock
-
-	workers int       // kernel-level parallelism (1 = serial)
-	pool    *par.Pool // lazily built with the lane scratch below
-	lanes   []*simLane
-	kbuf    [][]float64    // per-kernel field scratch for the parallel paths
-	kspec   [][]complex128 // per-kernel spectral scratch (fused parallel backward)
-}
-
-// simLane is the worker-owned scratch of one kernel-parallel lane.
-type simLane struct {
-	fs  *fft.Scratch
-	acc []float64
 }
 
 // MaxTransformSide bounds the padded FFT side of a simulator: the largest
@@ -70,8 +56,7 @@ func CheckRaster(w, h int, p Params) error {
 }
 
 // NewSimulator builds a simulator for a w x h raster under params p (see
-// CheckRaster for the accepted sizes). Kernel parallelism defaults to
-// min(par.Workers(), kernel count); SetWorkers overrides it.
+// CheckRaster for the accepted sizes).
 func NewSimulator(w, h int, p Params) (*Simulator, error) {
 	if err := CheckRaster(w, h, p); err != nil {
 		return nil, err
@@ -80,67 +65,17 @@ func NewSimulator(w, h int, p Params) (*Simulator, error) {
 	// identical for every simulator of this (params, raster) pair, so they
 	// come from the process-wide cache; only mutable scratch is owned.
 	sh := sharedFor(p, w, h)
-	s := &Simulator{
+	return &Simulator{
 		P: p, W: w, H: h, bank: sh.bank, plan: sh.plan, fs: sh.plan.NewScratch(), kffts: sh.kffts,
 		field: make([]float64, w*h), acc: make([]float64, w*h),
 		specAcc: make([]complex128, sh.plan.SpecLen()),
-	}
-	s.SetWorkers(0)
-	return s, nil
+	}, nil
 }
 
 // SetClock attaches a deterministic cost clock; every kernel convolution is
 // charged to it. A nil clock disables accounting. The clock is mutex-guarded,
 // so one clock may be shared across many pooled simulators.
 func (s *Simulator) SetClock(c *simclock.Clock) { s.clock = c }
-
-// SetWorkers sets the kernel-level parallelism: n lanes convolve the bank
-// concurrently (n <= 0 selects par.Workers()). The count is capped at the
-// kernel count; 1 runs the plain serial loop. Output is bit-identical either
-// way.
-func (s *Simulator) SetWorkers(n int) {
-	if n <= 0 {
-		n = par.Workers()
-	}
-	if n > len(s.bank) {
-		n = len(s.bank)
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n == s.workers {
-		return
-	}
-	s.workers = n
-	s.pool = nil
-	s.lanes = nil
-	s.kbuf = nil
-	s.kspec = nil
-}
-
-// Workers returns the kernel-level parallelism in effect.
-func (s *Simulator) Workers() int { return s.workers }
-
-// ensurePar lazily builds the pool, the per-lane scratch, and the per-kernel
-// field buffers the parallel paths need.
-func (s *Simulator) ensurePar() {
-	if s.pool != nil {
-		return
-	}
-	s.pool = par.NewPool(s.workers)
-	s.lanes = make([]*simLane, s.workers)
-	for i := range s.lanes {
-		s.lanes[i] = &simLane{fs: s.plan.NewScratch(), acc: make([]float64, s.W*s.H)}
-	}
-	s.kbuf = make([][]float64, len(s.bank))
-	for i := range s.kbuf {
-		s.kbuf[i] = make([]float64, s.W*s.H)
-	}
-	s.kspec = make([][]complex128, len(s.bank))
-	for i := range s.kspec {
-		s.kspec[i] = make([]complex128, s.plan.SpecLen())
-	}
-}
 
 // KernelCount returns the number of SOCS kernels in the bank.
 func (s *Simulator) KernelCount() int { return len(s.bank) }
@@ -174,30 +109,6 @@ func (s *Simulator) Aerial(mask []float64, out []float64, fields *Fields) {
 	// simulator's own scratch. The plan itself is process-shared, so only
 	// *With methods with simulator-owned scratch may run on it.
 	spec := s.plan.ForwardInto(s.fs, mask)
-	if s.workers > 1 && len(s.bank) > 1 {
-		s.ensurePar()
-		s.pool.Map(len(s.bank), func(lane, k int) {
-			dst := s.kbuf[k]
-			if fields != nil {
-				dst = fields.Amp[k]
-			}
-			s.plan.ApplySpecWith(s.lanes[lane].fs, spec, s.kffts[k], dst, false)
-			s.clock.Charge(simclock.CostConvolution, 1)
-		})
-		// Reduce in fixed kernel order: the per-pixel additions happen in
-		// exactly the serial loop's sequence.
-		for k := range s.bank {
-			dst := s.kbuf[k]
-			if fields != nil {
-				dst = fields.Amp[k]
-			}
-			w := s.bank[k].Weight
-			for i, a := range dst {
-				out[i] += w * a * a
-			}
-		}
-		return
-	}
 	for k := range s.bank {
 		dst := s.field
 		if fields != nil {
@@ -222,9 +133,7 @@ func (s *Simulator) Aerial(mask []float64, out []float64, fields *Fields) {
 // with conj(K_k) accumulate into a single half-spectrum, and one inverse
 // transform produces the whole gradient — K+1 transforms per call instead of
 // the 2K of a kernel-by-kernel adjoint. The clock still charges one
-// convolution per kernel. The parallel reduction runs in fixed kernel order,
-// so the output is bit-identical to the serial evaluation at any worker
-// count.
+// convolution per kernel.
 func (s *Simulator) AerialBackward(gradI []float64, fields *Fields, gradMask []float64) {
 	if fields == nil {
 		panic("litho: AerialBackward requires fields from Aerial")
@@ -233,38 +142,15 @@ func (s *Simulator) AerialBackward(gradI []float64, fields *Fields, gradMask []f
 	for i := range acc {
 		acc[i] = 0
 	}
-	if s.workers > 1 && len(s.bank) > 1 {
-		s.ensurePar()
-		s.pool.Map(len(s.bank), func(lane, k int) {
-			ln := s.lanes[lane]
-			w := s.bank[k].Weight
-			amp := fields.Amp[k]
-			for i := range ln.acc {
-				ln.acc[i] = 2 * w * gradI[i] * amp[i]
-			}
-			spec := s.plan.ForwardInto(ln.fs, ln.acc)
-			fft.MulConj(s.kspec[k], spec, s.kffts[k])
-			s.clock.Charge(simclock.CostConvolution, 1)
-		})
-		// Reduce in fixed kernel order: the same per-bin additions, in the
-		// same sequence, as the serial accumulation below.
-		for k := range s.bank {
-			ks := s.kspec[k]
-			for i := range acc {
-				acc[i] += ks[i]
-			}
+	for k := range s.bank {
+		w := s.bank[k].Weight
+		amp := fields.Amp[k]
+		for i := range s.acc {
+			s.acc[i] = 2 * w * gradI[i] * amp[i]
 		}
-	} else {
-		for k := range s.bank {
-			w := s.bank[k].Weight
-			amp := fields.Amp[k]
-			for i := range s.acc {
-				s.acc[i] = 2 * w * gradI[i] * amp[i]
-			}
-			spec := s.plan.ForwardInto(s.fs, s.acc)
-			fft.AccumulateConj(acc, spec, s.kffts[k])
-			s.clock.Charge(simclock.CostConvolution, 1)
-		}
+		spec := s.plan.ForwardInto(s.fs, s.acc)
+		fft.AccumulateConj(acc, spec, s.kffts[k])
+		s.clock.Charge(simclock.CostConvolution, 1)
 	}
 	s.plan.InverseSpec(s.fs, acc, gradMask)
 }

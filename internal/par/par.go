@@ -1,6 +1,6 @@
 // Package par is the framework's parallel execution layer: a bounded worker
-// pool with an ordered Map primitive. Every hot loop that fans out — per-kernel
-// SOCS convolutions, per-candidate ILT runs, training-set labeling, predictor
+// pool with an ordered Map primitive. Every hot loop that fans out — per-mask
+// ILT lanes, per-candidate ILT runs, training-set labeling, predictor
 // batch sharding — goes through this package so parallelism policy (worker
 // count, env override, nesting) lives in one place.
 //

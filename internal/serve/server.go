@@ -295,9 +295,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Materialize now so a malformed GDS/CSV — or a layout whose raster the
-	// simulator would refuse — fails the submission with 400 instead of
-	// failing (or exhausting memory in) the job later.
+	// simulator would refuse, or with more patterns than decomposition
+	// generation handles in about a second — fails the submission with 400
+	// instead of failing (or exhausting memory or time in) the job later.
 	l, err := spec.Layout()
+	if err == nil && len(l.Patterns) > layout.MaxPatterns {
+		err = fmt.Errorf("%d patterns, above the %d limit", len(l.Patterns), layout.MaxPatterns)
+	}
 	if err == nil {
 		p := s.flowConfig(spec).ILT.Litho
 		err = litho.CheckRaster(l.Window.W()/p.Resolution, l.Window.H()/p.Resolution, p)

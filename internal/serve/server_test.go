@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"ldmo/internal/grid"
+	"ldmo/internal/layout"
 	"ldmo/internal/runx"
 )
 
@@ -168,6 +169,49 @@ func TestOversizedRasterRejected(t *testing.T) {
 	}
 	if st := waitJob(t, ts, sr.ID); st.Status != StatusDone {
 		t.Fatalf("library-cell job settled %q (%s), want done", st.Status, st.Error)
+	}
+}
+
+// TestTooManyPatternsRejected: a CSV of MaxPatterns+1 contacts on a 150 nm
+// grid passes Validate and the raster check, but decomposition generation on
+// it would run for seconds outside any deadline. The submission is refused
+// with 400 before anything is queued, while the largest library cell is
+// still admitted.
+func TestTooManyPatternsRejected(t *testing.T) {
+	s, ts := newTestServer(t, nil)
+	var csv strings.Builder
+	csv.WriteString("# window 0 0 1000 1000\n")
+	for i := 0; i <= layout.MaxPatterns; i++ {
+		x, y := 50+150*(i%6), 50+150*(i/6)
+		fmt.Fprintf(&csv, "%d,%d,%d,%d\n", x, y, x+layout.ContactNM, y+layout.ContactNM)
+	}
+	spec := JobSpec{CSV: csv.String(), Fast: true}
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("spec no longer passes Validate (%v); the test needs a spec that does", err)
+	}
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, _, _ := submit(t, ts, "dense", string(body)); code != http.StatusBadRequest {
+		t.Fatalf("%d patterns: %d, want 400", layout.MaxPatterns+1, code)
+	}
+	if got := s.Stats(); got.Accepted != 0 || got.QueueLen != 0 {
+		t.Fatalf("oversized job admitted: %+v", got)
+	}
+
+	largest := layout.Cells()[0]
+	for _, c := range layout.Cells() {
+		if len(c.Patterns) > len(largest.Patterns) {
+			largest = c
+		}
+	}
+	code, _, _ := submit(t, ts, "cell", fmt.Sprintf(`{"cell":%q,"fast":true,"max_attempts":1}`, largest.Name))
+	if code != http.StatusAccepted {
+		t.Fatalf("library cell %s (%d patterns): %d, want 202", largest.Name, len(largest.Patterns), code)
+	}
+	if got := s.Stats(); got.Accepted != 1 || got.QueueLen != 1 {
+		t.Fatalf("library-cell job not queued: %+v", got)
 	}
 }
 

@@ -1,7 +1,7 @@
 #!/bin/sh
 # CI gate: clean-tree guard, vet, build, full test suite, the race detector
 # over the packages with concurrent hot paths (worker pool, FFT scratch
-# sharing, kernel-parallel simulator, candidate fan-out), and short fuzz
+# sharing, the mask-lane ILT session, candidate fan-out), and short fuzz
 # smokes on the GDS and CSV readers so hostile-input regressions surface
 # before a long fuzz campaign would find them.
 set -eux
@@ -14,7 +14,7 @@ git diff --exit-code
 go vet ./...
 go build ./...
 go test -timeout 300s -shuffle=on ./...
-go test -timeout 600s -race ./internal/litho ./internal/fft ./internal/core ./internal/par ./internal/sampling ./internal/runx ./internal/faultinject ./internal/artifact ./internal/model ./internal/serve ./internal/factory
+go test -timeout 600s -race ./internal/ilt ./internal/litho ./internal/fft ./internal/core ./internal/par ./internal/sampling ./internal/runx ./internal/faultinject ./internal/artifact ./internal/model ./internal/serve ./internal/factory
 go test -run='^$' -fuzz='^FuzzReadGDS$' -fuzztime=10s ./internal/gds
 go test -run='^$' -fuzz='^FuzzReadCSV$' -fuzztime=10s ./internal/layout
 
