@@ -38,6 +38,7 @@ import (
 	"hash/crc32"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -153,8 +154,8 @@ func Unseal(r io.Reader, name, kind string, version uint16) ([]byte, error) {
 		return nil, fmt.Errorf("artifact %s: truncated in payload length: %w", name, ErrCorrupt)
 	}
 	plen := binary.BigEndian.Uint64(b8[:])
-	const maxPayload = 1 << 33 // 8 GiB: far above any real artifact, below alloc bombs
-	if plen > maxPayload {
+	const maxPayload = 1 << 33 // 8 GiB: far above any real artifact
+	if plen > maxPayload || plen > math.MaxInt {
 		return nil, fmt.Errorf("artifact %s: implausible payload length %d: %w", name, plen, ErrCorrupt)
 	}
 	var b4 [4]byte
@@ -162,10 +163,15 @@ func Unseal(r io.Reader, name, kind string, version uint16) ([]byte, error) {
 		return nil, fmt.Errorf("artifact %s: truncated in checksum: %w", name, ErrCorrupt)
 	}
 	wantCRC := binary.BigEndian.Uint32(b4[:])
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// The header's length is only a claim: memory follows the bytes that
+	// actually arrive, so a short file claiming gigabytes is rejected as
+	// truncated instead of allocating its claim up front.
+	var buf bytes.Buffer
+	buf.Grow(int(min(plen, 1<<20)))
+	if _, err := io.CopyN(&buf, r, int64(plen)); err != nil {
 		return nil, fmt.Errorf("artifact %s: payload truncated: %w", name, ErrCorrupt)
 	}
+	payload := buf.Bytes()
 	if got := crc32.Checksum(payload, castagnoli); got != wantCRC {
 		return nil, fmt.Errorf("artifact %s: checksum mismatch (stored %08x, computed %08x): %w",
 			name, wantCRC, got, ErrCorrupt)

@@ -2,6 +2,7 @@ package artifact
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io/fs"
 	"os"
@@ -215,4 +216,64 @@ func TestFaultTruncate(t *testing.T) {
 	if faultinject.Enabled(faultinject.ArtifactTruncate) {
 		t.Fatal("truncate point still armed after firing")
 	}
+}
+
+// sealed returns the envelope Seal writes around payload under the test
+// kind and version.
+func sealed(t testing.TB, payload []byte) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := Seal(&b, testKind, testVersion, payload); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// claimLength rewrites the payload-length field of an envelope sealed under
+// the test kind (offset 10+K, see the layout in the package comment).
+func claimLength(env []byte, n uint64) []byte {
+	out := append([]byte(nil), env...)
+	binary.BigEndian.PutUint64(out[10+len(testKind):], n)
+	return out
+}
+
+// TestHugeLengthClaimIsCorrupt: a header claiming gigabytes in front of a
+// short payload is a truncated artifact. The reader must not allocate the
+// claim up front: at 2^33 that is an unrecoverable out-of-memory death on
+// an 8 GB host, and at 2^31 and above a makeslice panic on 32-bit builds.
+func TestHugeLengthClaimIsCorrupt(t *testing.T) {
+	env := sealed(t, []byte("short payload"))
+	for _, n := range []uint64{1 << 31, 1 << 32, 1 << 33} {
+		_, err := Unseal(bytes.NewReader(claimLength(env, n)), "huge", testKind, testVersion)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("claim of %d bytes: got %v, want ErrCorrupt", n, err)
+		}
+	}
+}
+
+// FuzzUnseal feeds arbitrary bytes to Unseal. It must never panic, every
+// rejection must be one of the typed classes, and whatever it accepts must
+// be exactly, over the bytes it consumed, the envelope Seal writes around
+// the returned payload.
+func FuzzUnseal(f *testing.F) {
+	env := sealed(f, []byte("payload payload payload"))
+	f.Add(env)
+	for _, n := range []int{0, 3, 4, 9, 10 + len(testKind), 22 + len(testKind), len(env) - 1} {
+		f.Add(env[:n])
+	}
+	f.Add(claimLength(env, 1<<33))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		payload, err := Unseal(r, "fuzz", testKind, testVersion)
+		if err != nil {
+			if !Rejected(err) {
+				t.Fatalf("untyped rejection: %v", err)
+			}
+			return
+		}
+		consumed := data[:len(data)-r.Len()]
+		if want := sealed(t, payload); !bytes.Equal(consumed, want) {
+			t.Fatalf("accepted %x, but Seal of its payload is %x", consumed, want)
+		}
+	})
 }

@@ -24,6 +24,23 @@ func cpuFeatureProbe() (avx, avx2 bool)
 //go:noescape
 func fftStageAVX(x *complex128, n, half int, tw *complex128)
 
+// fftRows1AVX runs one radix-2 stage of half-size half >= 1 down the first
+// nv columns (nv even) of the h x stride row-major raster at x, pairing
+// whole rows and reading the stage's contiguous twiddle run at tw.
+// Bit-identical per column to the scalar stage loop on finite inputs.
+// Implemented in asm_amd64.s.
+//
+//go:noescape
+func fftRows1AVX(x *complex128, stride, nv, h, half int, tw *complex128)
+
+// fftRows2AVX runs the two stages of half-sizes half and 2*half in one
+// sweep over the same columns as fftRows1AVX; tw points at stage half's
+// twiddle run, which stage 2*half's follows in the stage-major layout.
+// Implemented in asm_amd64.s.
+//
+//go:noescape
+func fftRows2AVX(x *complex128, stride, nv, h, half int, tw *complex128)
+
 // cmulAVX computes dst[i] = a[i] * b[i] for i < n; n must be even.
 // Implemented in asm_amd64.s.
 //

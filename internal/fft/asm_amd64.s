@@ -126,6 +126,164 @@ done:
 	VZEROUPPER
 	RET
 
+// func fftRows1AVX(x *complex128, stride, nv, h, half int, tw *complex128)
+//
+// One radix-2 stage (half-size half >= 1) down the first nv columns (nv
+// even) of the h x stride row-major raster at x, butterflying whole rows:
+// for each size-2*half block of rows and each j < half, rows a = start+j
+// and b = a+half take the twiddle tw[j] (the stage's contiguous run), and
+// every column c < nv gets x[a][c], x[b][c] = a+b*w, a-b*w. The twiddle is
+// broadcast to both lanes, so each element goes through fftStageAVX's
+// multiply and add/sub sequence exactly.
+TEXT ·fftRows1AVX(SB), NOSPLIT, $0-48
+	MOVQ x+0(FP), DI
+	MOVQ stride+8(FP), AX
+	MOVQ nv+16(FP), BX
+	MOVQ h+24(FP), CX
+	MOVQ half+32(FP), R13
+	MOVQ tw+40(FP), R10
+	SHLQ $4, AX              // row stride in bytes
+	SHRQ $1, BX              // vectors per row
+	IMULQ AX, CX
+	LEAQ (DI)(CX*1), R8      // end of the raster
+	IMULQ AX, R13            // half rows in bytes
+r1blk:
+	CMPQ DI, R8
+	JGE  r1done
+	MOVQ DI, SI              // row a for j = 0
+	LEAQ (DI)(R13*1), R12    // row a ends here: the block's b half
+	MOVQ R10, R9             // twiddle for j = 0
+r1row:
+	CMPQ SI, R12
+	JGE  r1rowdone
+	VBROADCASTSD (R9), Y10   // [wr x4]
+	VBROADCASTSD 8(R9), Y11  // [wi x4]
+	MOVQ SI, R11
+	MOVQ BX, CX
+r1col:
+	TESTQ CX, CX
+	JZ    r1coldone
+	VMOVUPD   (R11), Y0          // a
+	VMOVUPD   (R11)(R13*1), Y1   // b
+	VMULPD    Y1, Y10, Y4        // b * wr
+	VPERMILPD $0x5, Y1, Y5
+	VMULPD    Y5, Y11, Y5        // bswap * wi
+	VADDSUBPD Y5, Y4, Y4         // t = b * w
+	VADDPD    Y4, Y0, Y6
+	VMOVUPD   Y6, (R11)          // a + t
+	VSUBPD    Y4, Y0, Y7
+	VMOVUPD   Y7, (R11)(R13*1)   // a - t
+	ADDQ      $32, R11
+	DECQ      CX
+	JMP       r1col
+r1coldone:
+	ADDQ AX, SI
+	ADDQ $16, R9
+	JMP  r1row
+r1rowdone:
+	LEAQ (R12)(R13*1), DI    // next block: skip the b half
+	JMP  r1blk
+r1done:
+	VZEROUPPER
+	RET
+
+// func fftRows2AVX(x *complex128, stride, nv, h, half int, tw *complex128)
+//
+// Two radix-2 stages (half-sizes half and 2*half) in one sweep down the
+// first nv columns (nv even) of the h x stride row-major raster at x. For
+// each size-4*half block and each j < half, the four rows a = start+j,
+// b = a+half, c = a+2*half, d = a+3*half are loaded once and butterflied
+// twice: (a,b) and (c,d) with the stage-half twiddle tw[j], then (a,c) with
+// tw[half+j] and (b,d) with tw[2*half+j], the stage-2*half twiddles of rows
+// a and b. tw points at stage half's contiguous run, which the stage-major
+// layout (tables.go) follows directly with stage 2*half's. Every element
+// sees the same per-stage operations as fftRows1AVX, in the same stage
+// order; only the loads and stores between the two stages are saved.
+TEXT ·fftRows2AVX(SB), NOSPLIT, $0-48
+	MOVQ x+0(FP), DI
+	MOVQ stride+8(FP), AX
+	MOVQ nv+16(FP), BX
+	MOVQ h+24(FP), CX
+	MOVQ half+32(FP), R13
+	MOVQ tw+40(FP), R9       // stage-half twiddle for j = 0
+	SHLQ $4, AX              // row stride in bytes
+	SHRQ $1, BX              // vectors per row
+	IMULQ AX, CX
+	LEAQ (DI)(CX*1), R8      // end of the raster
+	MOVQ R13, DX
+	SHLQ $4, DX              // half twiddles in bytes
+	IMULQ AX, R13            // half rows in bytes
+r2blk:
+	CMPQ DI, R8
+	JGE  r2done
+	MOVQ DI, SI              // row a for j = 0
+	LEAQ (DI)(R13*1), R12    // row a ends here: the block's b quarter
+r2row:
+	CMPQ SI, R12
+	JGE  r2rowdone
+	VBROADCASTSD (R9), Y10        // w1 = tw[j]
+	VBROADCASTSD 8(R9), Y11
+	VBROADCASTSD (R9)(DX*1), Y12  // w2 = tw[half+j]
+	VBROADCASTSD 8(R9)(DX*1), Y13
+	VBROADCASTSD (R9)(DX*2), Y14  // w3 = tw[2*half+j]
+	VBROADCASTSD 8(R9)(DX*2), Y15
+	MOVQ SI, R11                  // a, with b at +R13
+	LEAQ (SI)(R13*2), R10         // c, with d at +R13
+	MOVQ BX, CX
+r2col:
+	TESTQ CX, CX
+	JZ    r2coldone
+	VMOVUPD (R11), Y0             // a
+	VMOVUPD (R11)(R13*1), Y1      // b
+	VMOVUPD (R10), Y2             // c
+	VMOVUPD (R10)(R13*1), Y3      // d
+	// Stage half: (a,b) and (c,d) with w1.
+	VMULPD    Y1, Y10, Y4
+	VPERMILPD $0x5, Y1, Y5
+	VMULPD    Y5, Y11, Y5
+	VADDSUBPD Y5, Y4, Y4          // t = b * w1
+	VSUBPD    Y4, Y0, Y1          // b = a - t
+	VADDPD    Y4, Y0, Y0          // a = a + t
+	VMULPD    Y3, Y10, Y6
+	VPERMILPD $0x5, Y3, Y7
+	VMULPD    Y7, Y11, Y7
+	VADDSUBPD Y7, Y6, Y6          // t = d * w1
+	VSUBPD    Y6, Y2, Y3          // d = c - t
+	VADDPD    Y6, Y2, Y2          // c = c + t
+	// Stage 2*half: (a,c) with w2, (b,d) with w3.
+	VMULPD    Y2, Y12, Y4
+	VPERMILPD $0x5, Y2, Y5
+	VMULPD    Y5, Y13, Y5
+	VADDSUBPD Y5, Y4, Y4          // t = c * w2
+	VSUBPD    Y4, Y0, Y2          // c = a - t
+	VADDPD    Y4, Y0, Y0          // a = a + t
+	VMULPD    Y3, Y14, Y6
+	VPERMILPD $0x5, Y3, Y7
+	VMULPD    Y7, Y15, Y7
+	VADDSUBPD Y7, Y6, Y6          // t = d * w3
+	VSUBPD    Y6, Y1, Y3          // d = b - t
+	VADDPD    Y6, Y1, Y1          // b = b + t
+	VMOVUPD   Y0, (R11)
+	VMOVUPD   Y1, (R11)(R13*1)
+	VMOVUPD   Y2, (R10)
+	VMOVUPD   Y3, (R10)(R13*1)
+	ADDQ      $32, R11
+	ADDQ      $32, R10
+	DECQ      CX
+	JMP       r2col
+r2coldone:
+	ADDQ AX, SI
+	ADDQ $16, R9
+	JMP  r2row
+r2rowdone:
+	LEAQ (R12)(R13*2), DI    // next block: skip the b, c and d quarters
+	ADDQ R13, DI
+	SUBQ DX, R9              // back to the twiddle of j = 0
+	JMP  r2blk
+r2done:
+	VZEROUPPER
+	RET
+
 // func cmulAVX(dst, a, b *complex128, n int)
 //
 // dst[i] = a[i] * b[i] for i < n, two bins per iteration. n must be even

@@ -29,7 +29,7 @@ func diffComplex(t *testing.T, label string, got, want []complex128) {
 	t.Helper()
 	for i := range want {
 		if !bitsEqual(got[i], want[i]) {
-			t.Fatalf("%s: bin %d differs bitwise: vector %v (%x,%x) scalar %v (%x,%x)",
+			t.Fatalf("%s: bin %d differs bitwise: got %v (%x,%x) want %v (%x,%x)",
 				label, i, got[i],
 				math.Float64bits(real(got[i])), math.Float64bits(imag(got[i])),
 				want[i],
@@ -42,7 +42,7 @@ func diffFloat(t *testing.T, label string, got, want []float64) {
 	t.Helper()
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s: sample %d differs bitwise: vector %v (%x) scalar %v (%x)",
+			t.Fatalf("%s: sample %d differs bitwise: got %v (%x) want %v (%x)",
 				label, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
@@ -217,17 +217,20 @@ func TestVecPlanEngineBitIdentical(t *testing.T) {
 	})
 }
 
-// FuzzVecEquivalence drives the rfft row pipeline and the pointwise kernels
-// with fuzzer-chosen sizes, source cuts, and data seeds, asserting bitwise
-// engine equality every time. The seeds cover the structural edges (smallest
-// sizes, odd cuts, sub-vector tails); the fuzzer explores from there.
+// FuzzVecEquivalence drives the rfft row pipeline, the pointwise kernels and
+// the column pass with fuzzer-chosen sizes, source cuts, raster widths and
+// data seeds, asserting bitwise engine equality every time, and for the
+// column pass equality of both engines with the strip oracle. The seeds
+// cover the structural edges (smallest sizes, odd cuts, sub-vector tails,
+// odd and even widths, odd and even stage counts); the fuzzer explores from
+// there.
 func FuzzVecEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(1), uint8(0))
-	f.Add(int64(2), uint8(2), uint8(1))
-	f.Add(int64(3), uint8(4), uint8(3))
-	f.Add(int64(4), uint8(8), uint8(255))
-	f.Add(int64(5), uint8(12), uint8(7))
-	f.Fuzz(func(t *testing.T, seed int64, sizeExp, cut uint8) {
+	f.Add(int64(1), uint8(1), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(2), uint8(1), uint8(1))
+	f.Add(int64(3), uint8(4), uint8(3), uint8(16))
+	f.Add(int64(4), uint8(8), uint8(255), uint8(128))
+	f.Add(int64(5), uint8(12), uint8(7), uint8(255))
+	f.Fuzz(func(t *testing.T, seed int64, sizeExp, cut, width uint8) {
 		requireASM(t)
 		n := 1 << (int(sizeExp)%12 + 1) // 2 .. 4096
 		rng := rand.New(rand.NewSource(seed))
@@ -256,6 +259,21 @@ func FuzzVecEquivalence(f *testing.F) {
 		irfftRow(outRef, accRef, twM, twN, false)
 		irfftRow(outVec, accVec, twM, twN, true)
 		diffFloat(t, "fuzz irfft", outVec, outRef)
+
+		// Column pass: height 1 .. 2048 from the size exponent, width
+		// 1 .. 256.
+		h, w := 1<<(int(sizeExp)%12), int(width)+1
+		twH := tablesFor(h)
+		for _, inverse := range []bool{false, true} {
+			data := plantedComplex(rng, w*h)
+			strip := append([]complex128(nil), data...)
+			scalar := append([]complex128(nil), data...)
+			stripCols(strip, w, h, twH, inverse, make([]complex128, colBlock*h), false)
+			transformCols(scalar, w, h, twH, inverse, false)
+			transformCols(data, w, h, twH, inverse, true)
+			diffComplex(t, "fuzz "+colLabel(w, h, inverse, false), scalar, strip)
+			diffComplex(t, "fuzz "+colLabel(w, h, inverse, true), data, strip)
+		}
 	})
 }
 
@@ -279,9 +297,14 @@ func TestVecKernelsZeroAlloc(t *testing.T) {
 	spec := make([]complex128, rfftLen(n))
 	src := randImage(rng, n)
 	real0 := make([]float64, n)
+	// A half-spectrum raster with an odd stage count, so the column pass
+	// runs fftRows2AVX, fftRows1AVX and the scalar Nyquist column.
+	cols := randComplex(rng, rfftLen(n)*(n/2))
 
 	cases := map[string]func(){
 		"transformWith": func() { transformWith(x, tw, false, true) },
+		"transformCols": func() { transformCols(cols, rfftLen(n), n/2, twM, false, true) },
+		"colsInverse":   func() { transformCols(cols, rfftLen(n), n/2, twM, true, true) },
 		"cmulInto":      func() { cmulInto(dst, a, b) },
 		"cmulConjInto":  func() { cmulConjInto(dst, a, b) },
 		"accumConjInto": func() { accumConjInto(dst, a, b) },

@@ -15,6 +15,14 @@ func fftStageAVX(x *complex128, n, half int, tw *complex128) {
 	panic("fft: fftStageAVX without AVX support")
 }
 
+func fftRows1AVX(x *complex128, stride, nv, h, half int, tw *complex128) {
+	panic("fft: fftRows1AVX without AVX support")
+}
+
+func fftRows2AVX(x *complex128, stride, nv, h, half int, tw *complex128) {
+	panic("fft: fftRows2AVX without AVX support")
+}
+
 func cmulAVX(dst, a, b *complex128, n int) {
 	panic("fft: cmulAVX without AVX support")
 }

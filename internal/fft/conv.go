@@ -11,7 +11,10 @@ import "fmt"
 // Convolve/Correlate wrappers) performs no per-call allocation.
 //
 // All spectra are stored half-width (HW = PW/2+1 Hermitian bins per row, PH
-// rows; see rfft.go). SpecLen reports their length.
+// rows; see rfft.go). SpecLen reports their length. A 2-D transform is a
+// real row transform per raster row followed by the column pass
+// (transformCols), which runs in place over the row-major spectrum: it
+// butterflies whole rows, so it needs no workspace of its own.
 //
 // A Plan is not safe for concurrent use; create one per goroutine. The one
 // sanctioned sharing pattern is fan-out over a single Forward spectrum:
@@ -32,13 +35,12 @@ type Plan struct {
 }
 
 // Scratch is the per-goroutine workspace of one convolution lane: a forward
-// spectrum, a product/inverse-transform field, the blocked column strip, and
-// the real row staging buffer. A plan owns one Scratch for its
-// serial methods; parallel callers allocate one per worker with NewScratch.
+// spectrum, a product/inverse-transform field, and the real row staging
+// buffer. A plan owns one Scratch for its serial methods; parallel callers
+// allocate one per worker with NewScratch.
 type Scratch struct {
 	spec []complex128
 	buf  []complex128
-	col  []complex128
 	rrow []float64
 }
 
@@ -78,7 +80,6 @@ func (p *Plan) NewScratch() *Scratch {
 	return &Scratch{
 		spec: make([]complex128, p.SpecLen()),
 		buf:  make([]complex128, p.SpecLen()),
-		col:  make([]complex128, colBlock*p.PH),
 		rrow: make([]float64, p.PW),
 	}
 }
@@ -88,17 +89,12 @@ func (p *Plan) NewScratch() *Scratch {
 // sits at the padded origin. The result can be passed to Convolve and
 // Correlate any number of times.
 func (p *Plan) TransformKernel(kernel []float64) []complex128 {
-	return p.transformKernel(&p.scratch, kernel)
-}
-
-// transformKernel derives a kernel spectrum using the column strip of s.
-func (p *Plan) transformKernel(s *Scratch, kernel []float64) []complex128 {
 	wrapped := p.wrapKernel(kernel)
 	kf := make([]complex128, p.SpecLen())
-	for y := 0; y < p.PH; y++ {
-		rfftRow(kf[y*p.HW:(y+1)*p.HW], wrapped[y*p.PW:(y+1)*p.PW], p.twHalf, p.twRow, p.vec)
+	for y, r := range p.twCol.rev {
+		rfftRow(kf[int(r)*p.HW:][:p.HW], wrapped[y*p.PW:(y+1)*p.PW], p.twHalf, p.twRow, p.vec)
 	}
-	transformCols(kf, p.HW, p.PH, p.twCol, false, s.col, p.vec)
+	colStages(kf, p.HW, p.PH, p.twCol, false, p.vec)
 	return kf
 }
 
@@ -168,15 +164,18 @@ func (p *Plan) ForwardInto(s *Scratch, img []float64) []complex128 {
 	if len(img) != p.W*p.H {
 		panic(fmt.Sprintf("fft: image length %d != %dx%d", len(img), p.W, p.H))
 	}
+	// Each row transform lands at its bit-reversed row, so the column pass
+	// starts at its butterflies.
 	spec := s.spec
-	for y := 0; y < p.H; y++ {
-		rfftRow(spec[y*p.HW:(y+1)*p.HW], img[y*p.W:(y+1)*p.W], p.twHalf, p.twRow, p.vec)
+	for y, r := range p.twCol.rev {
+		row := spec[int(r)*p.HW:][:p.HW]
+		if y < p.H {
+			rfftRow(row, img[y*p.W:(y+1)*p.W], p.twHalf, p.twRow, p.vec)
+		} else {
+			clear(row)
+		}
 	}
-	tail := spec[p.H*p.HW:]
-	for i := range tail {
-		tail[i] = 0
-	}
-	transformCols(spec, p.HW, p.PH, p.twCol, false, s.col, p.vec)
+	colStages(spec, p.HW, p.PH, p.twCol, false, p.vec)
 	return spec
 }
 
@@ -195,20 +194,24 @@ func (p *Plan) ApplySpecWith(s *Scratch, spec, kfft []complex128, out []float64,
 	if len(kfft) != p.SpecLen() || len(spec) != p.SpecLen() {
 		panic("fft: spectrum or kernel transform from a different plan")
 	}
-	buf := s.buf
-	switch {
-	case p.vec && conj:
-		cmulConjInto(buf, spec, kfft)
-	case p.vec:
-		cmulInto(buf, spec, kfft)
-	case conj:
-		for i := range buf {
-			k := kfft[i]
-			buf[i] = spec[i] * complex(real(k), -imag(k))
-		}
-	default:
-		for i := range buf {
-			buf[i] = spec[i] * kfft[i]
+	// The product of row y lands at its bit-reversed row, so the inverse
+	// column pass starts at its butterflies.
+	buf, hw := s.buf, p.HW
+	for y, r := range p.twCol.rev {
+		dst, a, b := buf[int(r)*hw:][:hw], spec[y*hw:][:hw], kfft[y*hw:][:hw]
+		switch {
+		case p.vec && conj:
+			cmulConjInto(dst, a, b)
+		case p.vec:
+			cmulInto(dst, a, b)
+		case conj:
+			for i, k := range b {
+				dst[i] = a[i] * complex(real(k), -imag(k))
+			}
+		default:
+			for i, k := range b {
+				dst[i] = a[i] * k
+			}
 		}
 	}
 	p.inverseInto(s, buf, out)
@@ -224,18 +227,19 @@ func (p *Plan) InverseSpec(s *Scratch, freq []complex128, out []float64) {
 	if len(freq) != p.SpecLen() {
 		panic("fft: frequency field from a different plan")
 	}
+	permuteRows(freq, p.HW, p.twCol)
 	p.inverseInto(s, freq, out)
 }
 
-// inverseInto inverse-transforms freq in place and writes the W x H real
-// region into out. Only the first H output rows are reconstructed: the
-// padded tail rows are about to be discarded, so their inverse row
-// transforms are skipped entirely.
+// inverseInto inverse-transforms freq, whose rows are in bit-reversed order,
+// in place and writes the W x H real region into out. Only the first H
+// output rows are reconstructed: the padded tail rows are about to be
+// discarded, so their inverse row transforms are skipped entirely.
 func (p *Plan) inverseInto(s *Scratch, freq []complex128, out []float64) {
 	if len(out) != p.W*p.H {
 		panic(fmt.Sprintf("fft: out length %d != %dx%d", len(out), p.W, p.H))
 	}
-	transformCols(freq, p.HW, p.PH, p.twCol, true, s.col, p.vec)
+	colStages(freq, p.HW, p.PH, p.twCol, true, p.vec)
 	norm := 1 / float64(p.PH)
 	for y := 0; y < p.H; y++ {
 		irfftRow(s.rrow, freq[y*p.HW:(y+1)*p.HW], p.twHalf, p.twRow, p.vec)

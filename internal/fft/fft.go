@@ -87,43 +87,91 @@ func transformWith(x []complex128, tw *twiddles, inverse, vec bool) {
 	}
 }
 
-// colBlock is how many columns the column transforms gather per pass.
-// Walking the raster row-wise in strips of colBlock columns keeps the
-// gather/scatter sequential in memory instead of striding the full row
-// width once per column.
-const colBlock = 8
+// transformCols transforms every column of the w x h row-major raster in
+// place with the length-h tables. No normalization is applied.
+//
+// No column is ever gathered. The bit-reversal permutation swaps whole rows
+// (permuteRows), and each butterfly applies its one twiddle to a pair of
+// whole rows (colStages), so the w columns are independent lanes of every
+// row operation. Each column still sees exactly transformWith's sequence:
+// the same permutation, the same stages in the same order, and the same
+// twiddle and complex-multiply expression per butterfly, so its bits are
+// those of transforming it alone.
+func transformCols(data []complex128, w, h int, tw *twiddles, inverse, vec bool) {
+	permuteRows(data, w, tw)
+	colStages(data, w, h, tw, inverse, vec)
+}
 
-// transformCols transforms every column of the w x h raster in place using
-// the length-h tables, processing as many columns per pass as the strip
-// scratch holds. The per-column results are independent of the blocking
-// factor. No normalization is applied.
-func transformCols(data []complex128, w, h int, tw *twiddles, inverse bool, col []complex128, vec bool) {
-	if len(col) < h {
-		panic(fmt.Sprintf("fft: column scratch %d < %d", len(col), h))
-	}
-	nb := len(col) / h
-	if nb > w {
-		nb = w
-	}
-	for x0 := 0; x0 < w; x0 += nb {
-		b := nb
-		if x0+b > w {
-			b = w - x0
-		}
-		blk := col[:b*h]
-		for y := 0; y < h; y++ {
-			row := data[y*w+x0 : y*w+x0+b]
-			for j, v := range row {
-				blk[j*h+y] = v
+// permuteRows applies the bit-reversal permutation of tw to the rows of the
+// w-wide row-major raster: row i trades places with row tw.rev[i]. Callers
+// that produce the rows themselves write row i at tw.rev[i] instead and
+// skip this pass.
+func permuteRows(data []complex128, w int, tw *twiddles) {
+	for i, r := range tw.rev {
+		if int32(i) < r {
+			a := data[i*w:][:w]
+			b := data[int(r)*w:][:w]
+			for c := range a {
+				a[c], b[c] = b[c], a[c]
 			}
 		}
-		for j := 0; j < b; j++ {
-			transformWith(blk[j*h:(j+1)*h], tw, inverse, vec)
+	}
+}
+
+// colStages runs the radix-2 stages of the length-h column transforms of the
+// w x h row-major raster, whose rows must already be in bit-reversed order.
+// The vector engine runs the stages two per sweep (fftRows2AVX, and
+// fftRows1AVX for an odd final stage) over the even-width part of the
+// raster, the first stage included; an odd last column (the Nyquist column
+// of every half spectrum) and the scalar engine's whole raster take the
+// one-stage row loop of rowStages.
+func colStages(data []complex128, w, h int, tw *twiddles, inverse, vec bool) {
+	if h != tw.n || len(data) != w*h {
+		panic(fmt.Sprintf("fft: %d values for %d columns of length %d (tables %d)", len(data), w, h, tw.n))
+	}
+	if h <= 1 {
+		return
+	}
+	tab, stg := tw.fwd, tw.stgFwd
+	if inverse {
+		tab, stg = tw.inv, tw.stgInv
+	}
+	c0 := 0
+	if vec && w >= 2 {
+		c0 = w &^ 1
+		half := 1
+		for ; 4*half <= h; half <<= 2 {
+			fftRows2AVX(&data[0], w, c0, h, half, &stg[half-1])
 		}
-		for y := 0; y < h; y++ {
-			row := data[y*w+x0 : y*w+x0+b]
-			for j := range row {
-				row[j] = blk[j*h+y]
+		if half < h {
+			fftRows1AVX(&data[0], w, c0, h, half, &stg[half-1])
+		}
+	}
+	if c0 < w {
+		rowStages(data, w, h, c0, tab)
+	}
+}
+
+// rowStages runs every radix-2 stage, one sweep each, down columns
+// [c0, w) of the bit-reversed w x h raster, with transformWith's scalar
+// butterfly applied across whole row pairs.
+func rowStages(data []complex128, w, h, c0 int, tab []complex128) {
+	for size := 2; size <= h; size <<= 1 {
+		half := size >> 1
+		step := h / size
+		for start := 0; start < h; start += size {
+			ti := 0
+			for k := start; k < start+half; k++ {
+				t := tab[ti]
+				ra := data[k*w+c0 : (k+1)*w]
+				rb := data[(k+half)*w+c0 : (k+half+1)*w]
+				rb = rb[:len(ra)]
+				for i, a := range ra {
+					b := rb[i] * t
+					ra[i] = a + b
+					rb[i] = a - b
+				}
+				ti += step
 			}
 		}
 	}

@@ -9,7 +9,9 @@ import (
 // the same padded PW x PH fields as complex rasters, so it shares no
 // half-spectrum code with the Plan and serves as its reference: the Plan
 // must agree with it to 1e-9, and its own scalar and vector runs must agree
-// bit for bit.
+// bit for bit. Its column pass is the strip pass the Plan's in-place row
+// pass replaced, which transforms each column with transformWith; that makes
+// it the bitwise reference for transformCols as well.
 
 // FFT performs an in-place forward radix-2 transform of x; len(x) must be
 // a power of two.
@@ -70,9 +72,52 @@ func transform2D(data []complex128, w, h int, inverse bool, col []complex128, ve
 	if inverse {
 		scale(data, 1/float64(w))
 	}
-	transformCols(data, w, h, tablesFor(h), inverse, col, vec)
+	stripCols(data, w, h, tablesFor(h), inverse, col, vec)
 	if inverse {
 		scale(data, 1/float64(h))
+	}
+}
+
+// colBlock is how many columns the strip pass gathers per pass. Walking the
+// raster row-wise in strips of colBlock columns keeps the gather/scatter
+// sequential in memory instead of striding the full row width once per
+// column.
+const colBlock = 8
+
+// stripCols transforms every column of the w x h raster in place using the
+// length-h tables: it gathers as many columns as the strip scratch col
+// holds, runs transformWith on each, and scatters them back. The
+// per-column results are independent of the blocking factor. No
+// normalization is applied.
+func stripCols(data []complex128, w, h int, tw *twiddles, inverse bool, col []complex128, vec bool) {
+	if len(col) < h {
+		panic(fmt.Sprintf("fft: column scratch %d < %d", len(col), h))
+	}
+	nb := len(col) / h
+	if nb > w {
+		nb = w
+	}
+	for x0 := 0; x0 < w; x0 += nb {
+		b := nb
+		if x0+b > w {
+			b = w - x0
+		}
+		blk := col[:b*h]
+		for y := 0; y < h; y++ {
+			row := data[y*w+x0 : y*w+x0+b]
+			for j, v := range row {
+				blk[j*h+y] = v
+			}
+		}
+		for j := 0; j < b; j++ {
+			transformWith(blk[j*h:(j+1)*h], tw, inverse, vec)
+		}
+		for y := 0; y < h; y++ {
+			row := data[y*w+x0 : y*w+x0+b]
+			for j := range row {
+				row[j] = blk[j*h+y]
+			}
+		}
 	}
 }
 

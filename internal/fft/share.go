@@ -18,11 +18,12 @@ type planKey struct{ w, h, kw, kh int }
 // PlanFor returns the process-wide shared plan for the given convolution
 // geometry, building it on first use.
 //
-// A shared plan's embedded scratch is reserved for TransformKernel; every
-// other access must go through the *With methods with a caller-owned
-// Scratch (NewScratch), which only read the plan's immutable state and are
-// safe from any number of goroutines. The serial convenience methods
-// (Forward, Convolve, Correlate, ApplySpec) are NOT safe on a shared plan.
+// On a shared plan, every access must go through TransformKernel, which
+// needs no workspace, or the *With methods with a caller-owned Scratch
+// (NewScratch); both only read the plan's immutable state and are safe from
+// any number of goroutines. The serial convenience methods (Forward,
+// Convolve, Correlate, ApplySpec) use the plan's embedded scratch and are
+// NOT safe on a shared plan.
 func PlanFor(w, h, kw, kh int) *Plan {
 	key := planKey{w, h, kw, kh}
 	planMu.Lock()
@@ -35,9 +36,9 @@ func PlanFor(w, h, kw, kh int) *Plan {
 	return p
 }
 
-// TransformKernelWith is TransformKernel through a caller-owned scratch, so
-// kernel banks can be derived on shared plans without touching the plan's
-// embedded scratch.
+// TransformKernelWith is TransformKernel for callers holding a Scratch. The
+// kernel transform needs no workspace (the column pass runs in place), so s
+// is not used.
 func (p *Plan) TransformKernelWith(s *Scratch, kernel []float64) []complex128 {
-	return p.transformKernel(s, kernel)
+	return p.TransformKernel(kernel)
 }

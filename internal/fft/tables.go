@@ -27,10 +27,11 @@ type twiddles struct {
 	// half-size h reads fwd with stride n/(2h), so its h constants are
 	// scattered across the table; here they are copied out per stage into
 	// one contiguous run at offset h-1 (stages h = 1, 2, 4, … concatenate
-	// to n-1 entries), which is what lets the butterfly kernel issue plain
-	// 32-byte vector loads. The values are the same Sincos-sampled
+	// to n-1 entries), which is what lets fftStageAVX issue plain 32-byte
+	// vector loads, and lets the column pass's two-stage kernel find stage
+	// 2h's run right after stage h's. The values are the same Sincos-sampled
 	// constants bit for bit. Built only on hosts that can run the vector
-	// engine; nil elsewhere.
+	// engine, for every n >= 2; nil elsewhere.
 	stgFwd []complex128
 	stgInv []complex128
 }
@@ -79,7 +80,7 @@ func newTwiddles(n int) *twiddles {
 		t.fwd[k] = complex(c, -s)
 		t.inv[k] = complex(c, s)
 	}
-	if haveFFTASM && n >= 4 {
+	if haveFFTASM {
 		t.stgFwd = stageLayout(t.fwd, n)
 		t.stgInv = stageLayout(t.inv, n)
 	}

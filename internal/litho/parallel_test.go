@@ -105,3 +105,32 @@ func benchmarkSim(b *testing.B, backward bool) {
 
 func BenchmarkAerial(b *testing.B)         { benchmarkSim(b, false) }
 func BenchmarkAerialBackward(b *testing.B) { benchmarkSim(b, true) }
+
+// BenchmarkAerialCell times one Aerial plus one AerialBackward, an ILT
+// lane's simulation per iteration, on the rasters the repository
+// benchmark's workloads run: a 136x136 px cell at 4 nm, which pads to a
+// 256x256 plan, and a 68x68 px cell at 8 nm, which pads to 128x128.
+func BenchmarkAerialCell(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		side int
+		p    Params
+	}{{"136px-4nm", 136, DefaultParams()}, {"68px-8nm", 68, FastParams()}} {
+		b.Run(c.name, func(b *testing.B) {
+			s, err := NewSimulator(c.side, c.side, c.p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			mask := randMask(rand.New(rand.NewSource(1)), c.side*c.side)
+			out := make([]float64, len(mask))
+			grad := make([]float64, len(mask))
+			f := s.NewFields()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Aerial(mask, out, f)
+				s.AerialBackward(out, f, grad)
+			}
+		})
+	}
+}

@@ -2,8 +2,9 @@
 # CI gate: clean-tree guard, vet, build, full test suite, the race detector
 # over the packages with concurrent hot paths (worker pool, FFT scratch
 # sharing, the mask-lane ILT session, candidate fan-out), and short fuzz
-# smokes on the GDS and CSV readers so hostile-input regressions surface
-# before a long fuzz campaign would find them.
+# smokes on the GDS and CSV readers and the artifact envelope so
+# hostile-input regressions surface before a long fuzz campaign would find
+# them.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -17,6 +18,7 @@ go test -timeout 300s -shuffle=on ./...
 go test -timeout 600s -race ./internal/ilt ./internal/litho ./internal/fft ./internal/core ./internal/par ./internal/sampling ./internal/runx ./internal/faultinject ./internal/artifact ./internal/model ./internal/serve ./internal/factory
 go test -run='^$' -fuzz='^FuzzReadGDS$' -fuzztime=10s ./internal/gds
 go test -run='^$' -fuzz='^FuzzReadCSV$' -fuzztime=10s ./internal/layout
+go test -run='^$' -fuzz='^FuzzUnseal$' -fuzztime=10s ./internal/artifact
 
 # Compute-engine gates: alloc-regression tests on the ILT and NN hot paths,
 # and 100-iteration smokes of the FFT and GEMM benchmarks, which include the
@@ -32,10 +34,12 @@ go test -run='^$' -bench='^BenchmarkGEMM' -benchtime=100x ./internal/tensor
 # even if the repo-wide vet above ever narrows. The engine-equivalence fuzz
 # seeds get a smoke run. Then the spectral and NN suites and their consumers
 # run as a 386 build, which compiles the pure-Go FFT and GEMM engines — the
-# only ones on non-amd64 hosts — so that fallback cannot rot.
+# only ones on non-amd64 hosts — so that fallback cannot rot. The artifact
+# reader rides along: 32-bit ints are where a length claim overflows a
+# slice.
 go vet ./internal/fft
 go test -run='^$' -fuzz='^FuzzVecEquivalence$' -fuzztime=10s ./internal/fft
-GOARCH=386 go test -timeout 300s ./internal/fft ./internal/tensor ./internal/litho ./internal/ilt ./internal/core
+GOARCH=386 go test -timeout 300s ./internal/fft ./internal/tensor ./internal/litho ./internal/ilt ./internal/core ./internal/artifact
 tmpout="$(mktemp -d)"
 trap 'rm -rf "$tmpout"' EXIT
 
