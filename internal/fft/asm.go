@@ -16,6 +16,12 @@ package fft
 // (amd64 with AVX2 and OS-saved YMM state).
 func ASMEnabled() bool { return haveFFTASM }
 
+// HasFMA reports whether the host can execute 256-bit FMA3 instructions
+// (CPUID FMA with OS-saved YMM state). The spectral kernels never fuse; the
+// litho sigmoid kernel reads this to learn which of its variants the CPU
+// can run.
+func HasFMA() bool { return haveFMA }
+
 // CPUFeatures lists the detected vector capabilities ("avx", "avx2") for
 // bench records, so timing numbers are interpretable across hosts.
 func CPUFeatures() []string {

@@ -5,16 +5,18 @@ package fft
 // the engine gates on AVX2: pre-AVX2 parts (Sandy/Ivy Bridge) split 256-bit
 // loads into two 128-bit halves, which erases the win on these
 // load-dominated streaming kernels, and AVX2 is the same line the GEMM
-// engine's profitable hosts sit behind in practice.
-var haveAVX, haveAVX2 = cpuFeatureProbe()
+// engine's profitable hosts sit behind in practice. haveFMA (FMA3 with
+// OS-saved YMM state) gates no kernel here; it is probed for HasFMA.
+var haveAVX, haveAVX2, haveFMA = cpuFeatureProbe()
 
 // haveFFTASM reports whether the vector spectral kernels can run on this
 // host, which is exactly when they do run (see asm.go).
 var haveFFTASM = haveAVX && haveAVX2
 
 // cpuFeatureProbe reports CPU+OS support for 256-bit AVX (CPUID feature
-// flags plus XCR0 state enablement) and AVX2. Implemented in asm_amd64.s.
-func cpuFeatureProbe() (avx, avx2 bool)
+// flags plus XCR0 state enablement), AVX2 and FMA3. Implemented in
+// asm_amd64.s.
+func cpuFeatureProbe() (avx, avx2, fma bool)
 
 // fftStageAVX runs one whole radix-2 butterfly stage (stage half >= 2) over
 // the n-element array at x, reading the stage's contiguous twiddle run at
@@ -80,7 +82,8 @@ func irfftRepackAVX(pa, pd, ptw *complex128, np int)
 func packPairsAVX(dst *complex128, src *float64, n int)
 
 // scaleUnpackAVX unpacks n complex128 at src into 2n float64 at dst,
-// multiplying every component by s. Implemented in asm_amd64.s.
+// multiplying every component by s and then by t. Implemented in
+// asm_amd64.s.
 //
 //go:noescape
-func scaleUnpackAVX(dst *float64, src *complex128, s float64, n int)
+func scaleUnpackAVX(dst *float64, src *complex128, s, t float64, n int)

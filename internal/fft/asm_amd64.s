@@ -43,15 +43,19 @@ GLOBL halfConst<>(SB), RODATA|NOPTR, $8
 DATA negHalfConst<>+0(SB)/8, $-0.5
 GLOBL negHalfConst<>(SB), RODATA|NOPTR, $8
 
-// func cpuFeatureProbe() (avx, avx2 bool)
+// func cpuFeatureProbe() (avx, avx2, fma bool)
 //
-// Reports AVX/AVX2 support: CPUID.1:ECX must show OSXSAVE (bit 27) and AVX
-// (bit 28), XCR0 must confirm the OS saves XMM+YMM state, and AVX2 is
-// CPUID.(7,0):EBX bit 5 — the same probe shape as tensor.cpuidAVX.
-TEXT ·cpuFeatureProbe(SB), NOSPLIT, $0-2
+// Reports AVX/AVX2/FMA support: CPUID.1:ECX must show OSXSAVE (bit 27) and
+// AVX (bit 28), XCR0 must confirm the OS saves XMM+YMM state, AVX2 is
+// CPUID.(7,0):EBX bit 5 — the same probe shape as tensor.cpuidAVX — and FMA
+// is CPUID.1:ECX bit 12, usable only with that same YMM state.
+TEXT ·cpuFeatureProbe(SB), NOSPLIT, $0-3
 	MOVQ $1, AX
 	XORQ CX, CX
 	CPUID
+	MOVQ CX, R10
+	SHRQ $12, R10
+	ANDQ $1, R10       // FMA
 	MOVQ CX, R8
 	SHRQ $27, R8
 	ANDQ $1, R8        // OSXSAVE
@@ -66,6 +70,7 @@ TEXT ·cpuFeatureProbe(SB), NOSPLIT, $0-2
 	CMPQ AX, $6
 	JNE  none
 	MOVB $1, avx+0(FP)
+	MOVB R10, fma+2(FP)
 	MOVQ $7, AX
 	XORQ CX, CX
 	CPUID
@@ -77,6 +82,7 @@ TEXT ·cpuFeatureProbe(SB), NOSPLIT, $0-2
 none:
 	MOVB $0, avx+0(FP)
 	MOVB $0, avx2+1(FP)
+	MOVB $0, fma+2(FP)
 	RET
 
 // func fftStageAVX(x *complex128, n, half int, tw *complex128)
@@ -547,16 +553,18 @@ ppdone:
 	VZEROUPPER
 	RET
 
-// func scaleUnpackAVX(dst *float64, src *complex128, s float64, n int)
+// func scaleUnpackAVX(dst *float64, src *complex128, s, t float64, n int)
 //
-// The irfft unpack: dst[2j] = real(src[j])*s, dst[2j+1] = imag(src[j])*s
-// for j < n — elementwise float64 multiply by the broadcast row norm,
-// exactly the two scalar multiplies per bin.
-TEXT ·scaleUnpackAVX(SB), NOSPLIT, $0-32
+// The irfft unpack: dst[2j] = (real(src[j])*s)*t, dst[2j+1] =
+// (imag(src[j])*s)*t for j < n — elementwise float64 multiplies by the
+// broadcast row norm and then the broadcast column norm, exactly the scalar
+// expression's two roundings in its order.
+TEXT ·scaleUnpackAVX(SB), NOSPLIT, $0-40
 	MOVQ         dst+0(FP), DI
 	MOVQ         src+8(FP), SI
 	VBROADCASTSD s+16(FP), Y1
-	MOVQ         n+24(FP), CX
+	VBROADCASTSD t+24(FP), Y2
+	MOVQ         n+32(FP), CX
 	SHLQ         $4, CX
 	XORQ         DX, DX
 suvec:
@@ -565,6 +573,7 @@ suvec:
 	JGT  sutail
 	VMOVUPD (SI)(DX*1), Y0
 	VMULPD  Y0, Y1, Y0
+	VMULPD  Y0, Y2, Y0
 	VMOVUPD Y0, (DI)(DX*1)
 	MOVQ    AX, DX
 	JMP     suvec
@@ -573,6 +582,7 @@ sutail:
 	JGE  sudone
 	VMOVUPD (SI)(DX*1), X0
 	VMULPD  X0, X1, X0
+	VMULPD  X0, X2, X0
 	VMOVUPD X0, (DI)(DX*1)
 	ADDQ    $16, DX
 	JMP     sutail

@@ -113,8 +113,8 @@ func TestVecRFFTRowBitIdentical(t *testing.T) {
 			specVec := append([]complex128(nil), ref...)
 			outRef := make([]float64, n)
 			outVec := make([]float64, n)
-			irfftRow(outRef, specRef, twM, twN, false)
-			irfftRow(outVec, specVec, twM, twN, true)
+			irfftRow(outRef, specRef, twM, twN, 1, false)
+			irfftRow(outVec, specVec, twM, twN, 1, true)
 			diffFloat(t, "irfft/"+label, outVec, outRef)
 		}
 	}
@@ -256,8 +256,8 @@ func FuzzVecEquivalence(f *testing.F) {
 
 		outRef := make([]float64, n)
 		outVec := make([]float64, n)
-		irfftRow(outRef, accRef, twM, twN, false)
-		irfftRow(outVec, accVec, twM, twN, true)
+		irfftRow(outRef, accRef, twM, twN, 1, false)
+		irfftRow(outVec, accVec, twM, twN, 1, true)
 		diffFloat(t, "fuzz irfft", outVec, outRef)
 
 		// Column pass: height 1 .. 2048 from the size exponent, width
@@ -309,7 +309,7 @@ func TestVecKernelsZeroAlloc(t *testing.T) {
 		"cmulConjInto":  func() { cmulConjInto(dst, a, b) },
 		"accumConjInto": func() { accumConjInto(dst, a, b) },
 		"rfftRow":       func() { rfftRow(spec, src, twM, tw, true) },
-		"irfftRow":      func() { irfftRow(real0, spec, twM, tw, true) },
+		"irfftRow":      func() { irfftRow(real0, spec, twM, tw, 1, true) },
 	}
 	for name, fn := range cases {
 		if allocs := testing.AllocsPerRun(20, fn); allocs != 0 {

@@ -8,6 +8,7 @@ package fft
 const (
 	haveAVX    = false
 	haveAVX2   = false
+	haveFMA    = false
 	haveFFTASM = false
 )
 
@@ -47,6 +48,6 @@ func packPairsAVX(dst *complex128, src *float64, n int) {
 	panic("fft: packPairsAVX without AVX support")
 }
 
-func scaleUnpackAVX(dst *float64, src *complex128, s float64, n int) {
+func scaleUnpackAVX(dst *float64, src *complex128, s, t float64, n int) {
 	panic("fft: scaleUnpackAVX without AVX support")
 }

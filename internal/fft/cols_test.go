@@ -139,7 +139,7 @@ func (o *stripPlan) inverse(freq []complex128, out []float64) {
 	stripCols(freq, p.HW, p.PH, p.twCol, true, o.strip, p.vec)
 	norm := 1 / float64(p.PH)
 	for y := 0; y < p.H; y++ {
-		irfftRow(o.rrow, freq[y*p.HW:(y+1)*p.HW], p.twHalf, p.twRow, p.vec)
+		irfftRow(o.rrow, freq[y*p.HW:(y+1)*p.HW], p.twHalf, p.twRow, 1, p.vec)
 		for x := 0; x < p.W; x++ {
 			out[y*p.W+x] = o.rrow[x] * norm
 		}

@@ -35,13 +35,13 @@ type Plan struct {
 }
 
 // Scratch is the per-goroutine workspace of one convolution lane: a forward
-// spectrum, a product/inverse-transform field, and the real row staging
-// buffer. A plan owns one Scratch for its serial methods; parallel callers
+// spectrum and a product/inverse-transform field. The inverse row
+// transforms write straight into the caller's output, so no real row is
+// staged. A plan owns one Scratch for its serial methods; parallel callers
 // allocate one per worker with NewScratch.
 type Scratch struct {
 	spec []complex128
 	buf  []complex128
-	rrow []float64
 }
 
 // NewPlan builds a convolution plan. Kernel dimensions must be odd so the
@@ -80,7 +80,6 @@ func (p *Plan) NewScratch() *Scratch {
 	return &Scratch{
 		spec: make([]complex128, p.SpecLen()),
 		buf:  make([]complex128, p.SpecLen()),
-		rrow: make([]float64, p.PW),
 	}
 }
 
@@ -214,7 +213,7 @@ func (p *Plan) ApplySpecWith(s *Scratch, spec, kfft []complex128, out []float64,
 			}
 		}
 	}
-	p.inverseInto(s, buf, out)
+	p.inverseInto(buf, out)
 }
 
 // InverseSpec inverse-transforms a frequency-domain field assembled from
@@ -228,25 +227,23 @@ func (p *Plan) InverseSpec(s *Scratch, freq []complex128, out []float64) {
 		panic("fft: frequency field from a different plan")
 	}
 	permuteRows(freq, p.HW, p.twCol)
-	p.inverseInto(s, freq, out)
+	p.inverseInto(freq, out)
 }
 
 // inverseInto inverse-transforms freq, whose rows are in bit-reversed order,
 // in place and writes the W x H real region into out. Only the first H
 // output rows are reconstructed: the padded tail rows are about to be
-// discarded, so their inverse row transforms are skipped entirely.
-func (p *Plan) inverseInto(s *Scratch, freq []complex128, out []float64) {
+// discarded, so their inverse row transforms are skipped entirely. Each row
+// transform unpacks only its W kept samples, straight into out, applying
+// the row and then the column normalization.
+func (p *Plan) inverseInto(freq []complex128, out []float64) {
 	if len(out) != p.W*p.H {
 		panic(fmt.Sprintf("fft: out length %d != %dx%d", len(out), p.W, p.H))
 	}
 	colStages(freq, p.HW, p.PH, p.twCol, true, p.vec)
 	norm := 1 / float64(p.PH)
 	for y := 0; y < p.H; y++ {
-		irfftRow(s.rrow, freq[y*p.HW:(y+1)*p.HW], p.twHalf, p.twRow, p.vec)
-		orow := out[y*p.W : (y+1)*p.W]
-		for x := range orow {
-			orow[x] = s.rrow[x] * norm
-		}
+		irfftRow(out[y*p.W:(y+1)*p.W], freq[y*p.HW:(y+1)*p.HW], p.twHalf, p.twRow, norm, p.vec)
 	}
 }
 

@@ -21,8 +21,9 @@ import "fmt"
 //
 // On the vector engine (see asm.go) the pack, the untangle/repack pair
 // loop, and the inverse unpack run through the AVX kernels two bins per
-// iteration; the edge bins 0, m, and m/2 and the odd leftover pair stay on
-// the scalar expressions, and both engines produce bit-identical rows.
+// iteration; the edge bins 0, m, and m/2, the odd leftover pair and an odd
+// output width's last sample stay on the scalar expressions, and both
+// engines produce bit-identical rows.
 
 // rfftLen returns the half-spectrum length of an n-point real transform.
 func rfftLen(n int) int { return n/2 + 1 }
@@ -112,19 +113,26 @@ func rfftRow(dst []complex128, src []float64, twM, twN *twiddles, vec bool) {
 }
 
 // irfftRow inverts rfftRow: it consumes the half spectrum in src[0:n/2+1]
-// (destroying it) and writes the n reals into dst[0:n]. It applies the full
-// 1/n row normalization, so irfftRow(rfftRow(x)) == x up to rounding.
-func irfftRow(dst []float64, src []complex128, twM, twN *twiddles, vec bool) {
+// (destroying it) and writes the first len(dst) <= n reals into dst. Each
+// sample is unpacked as (v*inv)*norm: inv = 1/(n/2) completes the full 1/n
+// row normalization, and norm is the caller's further factor, so
+// irfftRow(rfftRow(x)) == x up to rounding when norm is 1. A 2-D inverse
+// passes its column normalization as norm and its image width as
+// len(dst), so the kept samples land straight in the output row and the
+// padding columns are never unpacked.
+func irfftRow(dst []float64, src []complex128, twM, twN *twiddles, norm float64, vec bool) {
 	n := twN.n
 	m := n / 2
-	if len(dst) < n {
-		panic(fmt.Sprintf("fft: irfft dst %d < %d", len(dst), n))
+	if len(dst) > n {
+		panic(fmt.Sprintf("fft: irfft dst %d > %d", len(dst), n))
 	}
 	if len(src) < m+1 {
 		panic(fmt.Sprintf("fft: irfft src %d < %d", len(src), m+1))
 	}
 	if n == 1 {
-		dst[0] = real(src[0])
+		if len(dst) > 0 {
+			dst[0] = real(src[0]) * norm
+		}
 		return
 	}
 	// Repack the half spectrum into the m-point packed transform:
@@ -156,12 +164,16 @@ func irfftRow(dst []float64, src []complex128, twM, twN *twiddles, vec bool) {
 	z := src[:m]
 	transformWith(z, twM, true, vec)
 	inv := 1 / float64(m)
-	if vec {
-		scaleUnpackAVX(&dst[0], &z[0], inv, m)
-		return
+	pairs := len(dst) / 2
+	if vec && pairs > 0 {
+		scaleUnpackAVX(&dst[0], &z[0], inv, norm, pairs)
+	} else {
+		for j, c := range z[:pairs] {
+			dst[2*j] = real(c) * inv * norm
+			dst[2*j+1] = imag(c) * inv * norm
+		}
 	}
-	for j, c := range z {
-		dst[2*j] = real(c) * inv
-		dst[2*j+1] = imag(c) * inv
+	if len(dst)%2 == 1 {
+		dst[2*pairs] = real(z[pairs]) * inv * norm
 	}
 }

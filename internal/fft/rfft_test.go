@@ -54,10 +54,37 @@ func TestRFFTRoundTripAccuracy4096(t *testing.T) {
 	spec := make([]complex128, n/2+1)
 	rfftRow(spec, x, twM, twN, false)
 	back := make([]float64, n)
-	irfftRow(back, spec, twM, twN, false)
+	irfftRow(back, spec, twM, twN, 1, false)
 	for i := range x {
 		if d := math.Abs(back[i] - x[i]); d > 1e-12 {
 			t.Fatalf("real round-trip error %g at %d exceeds 1e-12", d, i)
+		}
+	}
+}
+
+// TestIrfftRowKeptSamples pins the fused unpack of the 2-D inverse: writing
+// only the first w samples with a further factor norm equals unpacking the
+// whole row and scaling each kept sample by norm afterwards, bit for bit,
+// for every width (odd ones end on the scalar sample) on both engines.
+func TestIrfftRowKeptSamples(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const norm = 1.0 / 48
+	for _, n := range []int{1, 2, 4, 8, 16, 64} {
+		twM, twN := tablesFor(maxInt(n/2, 1)), tablesFor(n)
+		spec := make([]complex128, rfftLen(n))
+		rfftRow(spec, randImage(rng, n), twM, twN, false)
+		full := make([]float64, n)
+		irfftRow(full, append([]complex128(nil), spec...), twM, twN, 1, false)
+		for w := 0; w <= n; w++ {
+			want := make([]float64, w)
+			for x := range want {
+				want[x] = full[x] * norm
+			}
+			for _, vec := range []bool{false, haveFFTASM} {
+				got := make([]float64, w)
+				irfftRow(got, append([]complex128(nil), spec...), twM, twN, norm, vec)
+				diffFloat(t, "irfft kept "+itoa(n)+"/"+itoa(w), got, want)
+			}
 		}
 	}
 }

@@ -14,6 +14,8 @@ package litho
 import (
 	"fmt"
 	"math"
+
+	"ldmo/internal/fft"
 )
 
 // Params collects the process constants of the simulator. All fields mirror
@@ -128,10 +130,10 @@ func (p Params) Validate() error {
 }
 
 // MaskSigmoid applies the paper's Eq. 1 element-wise: M = 1/(1+exp(-tm*P)).
+// Where math.Exp takes its FMA branch on an AVX2 host, it runs a four-lane
+// kernel whose output equals the scalar math.Exp loop bit for bit.
 func MaskSigmoid(thetaM float64, p []float64, m []float64) {
-	for i, v := range p {
-		m[i] = 1 / (1 + math.Exp(-thetaM*v))
-	}
+	sigmoidInto(sigmoidVector, m, p, -thetaM, 0)
 }
 
 // MaskSigmoidInverse recovers the unbounded parameter P from a mask value in
@@ -149,9 +151,92 @@ func MaskSigmoidInverse(thetaM float64, m []float64, p []float64) {
 }
 
 // ResistSigmoid applies the paper's Eq. 2 element-wise:
-// T = 1/(1+exp(-tz*(I-Ith))).
+// T = 1/(1+exp(-tz*(I-Ith))). It runs on the same engine as MaskSigmoid.
 func ResistSigmoid(thetaZ, ith float64, aerial []float64, t []float64) {
-	for i, v := range aerial {
-		t[i] = 1 / (1 + math.Exp(-thetaZ*(v-ith)))
+	sigmoidInto(sigmoidVector, t, aerial, -thetaZ, ith)
+}
+
+// sigmoid is the scalar expression both relaxations share:
+// 1/(1+exp((v-b)*a)). With b = 0, v-b is v exactly, so a = -tm gives
+// Eq. 1's exp(-tm*v) bit for bit.
+func sigmoid(v, a, b float64) float64 {
+	return 1 / (1 + math.Exp((v-b)*a))
+}
+
+// sigmoidVector reports whether MaskSigmoid and ResistSigmoid run the
+// vector kernel; otherwise they run the scalar math.Exp loop.
+var sigmoidVector = fft.ASMEnabled() && fft.HasFMA() && sigmoidProbeMatches()
+
+// sigmoidProbeMatches reports whether the vector kernel finishes the probe
+// vectors of both relaxations, as DefaultParams parameterizes them, with
+// every output bit equal to the scalar expression's. The kernel mirrors
+// math.Exp's FMA branch, and CPUID alone cannot tell that math.Exp takes it:
+// the branch follows the runtime's view of the CPU, which
+// GODEBUG=cpu.fma=off changes. So the kernel runs only where this check
+// passes, and a Go release that changed math.Exp falls back to the scalar
+// loop.
+func sigmoidProbeMatches() bool {
+	p := DefaultParams()
+	for _, ab := range [][2]float64{{-p.ThetaM, 0}, {-p.ThetaZ, p.Ith}} {
+		a, b := ab[0], ab[1]
+		src := sigmoidProbe(a, b)
+		got := make([]float64, len(src))
+		if sigmoidAVXFMA(&got[0], &src[0], len(src), a, b) != len(src) {
+			return false
+		}
+		for i, v := range src {
+			if math.Float64bits(got[i]) != math.Float64bits(sigmoid(v, a, b)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// sigmoidProbe returns 1024 inputs whose arguments (v-b)*a lie in the
+// kernel's range [-708, 709]: alternately an even sweep across the whole
+// range, edge to edge, and a golden-ratio sweep of [-16, 16], where the
+// sigmoid is steep enough that 1/(1+exp) keeps exp's last bits. Inputs
+// whose rounded argument leaves the range are skipped.
+func sigmoidProbe(a, b float64) []float64 {
+	const n = 1024
+	src := make([]float64, 0, n)
+	for i := 0; len(src) < n; i++ {
+		x := -708 + 1417*float64(i/2)/(n/2-1)
+		if i%2 == 1 {
+			_, f := math.Modf(float64(i) * 0.6180339887498949)
+			x = 32*f - 16
+		}
+		v := x/a + b
+		if y := (v - b) * a; y >= -708 && y <= 709 {
+			src = append(src, v)
+		}
+	}
+	return src
+}
+
+// sigmoidInto writes sigmoid(src[i], a, b) to dst[i] for every i <
+// len(src), on the vector kernel if vec is set. The kernel takes whole
+// vectors of four; where it stops at a vector holding an argument outside
+// its range, that vector takes the scalar expression and the kernel resumes
+// after it. Tails shorter than four are scalar.
+func sigmoidInto(vec bool, dst, src []float64, a, b float64) {
+	n := len(src)
+	if n == 0 {
+		return
+	}
+	_ = dst[n-1] // a short dst panics before anything is written
+	i, v := 0, 0
+	if vec {
+		v = n &^ 3
+	}
+	for i < v {
+		i += sigmoidAVXFMA(&dst[i], &src[i], v-i, a, b)
+		for end := min(i+4, v); i < end; i++ {
+			dst[i] = sigmoid(src[i], a, b)
+		}
+	}
+	for ; i < n; i++ {
+		dst[i] = sigmoid(src[i], a, b)
 	}
 }

@@ -55,7 +55,9 @@ type JobSpec struct {
 	GDSB64 string `json:"gds_b64,omitempty"`
 	// CSV is an inline dataset CSV layout.
 	CSV string `json:"csv,omitempty"`
-	// Name labels CSV/GDS uploads (default "upload").
+	// Name labels a CSV upload's layout (default "upload"). Every other
+	// source names its own layout and ignores Name, so Name is not part of
+	// those jobs' content hash.
 	Name string `json:"name,omitempty"`
 
 	// Fast selects the coarse 8nm raster instead of the 4nm default.
@@ -108,7 +110,7 @@ func (s JobSpec) Validate() error {
 func (s JobSpec) Layout() (layout.Layout, error) {
 	name := s.Name
 	if name == "" {
-		name = "upload"
+		name = defaultUploadName
 	}
 	switch {
 	case s.Cell != "":
@@ -134,18 +136,32 @@ func (s JobSpec) Layout() (layout.Layout, error) {
 	return layout.Layout{}, fmt.Errorf("empty job spec")
 }
 
+// defaultUploadName labels a CSV upload that carries no Name.
+const defaultUploadName = "upload"
+
 // ID derives the job's content-addressed identifier: "j-" plus the first 16
 // hex digits of the SHA-256 of the canonical spec JSON. Options are part of
 // the hash — the same layout under a different raster or budget is a
 // different job with a different (cacheable) result.
 func (s JobSpec) ID() string {
+	sum := sha256.Sum256(s.canonicalJSON())
+	return "j-" + hex.EncodeToString(sum[:8])
+}
+
+// canonicalJSON is the spec's content-hash preimage: its JSON with Name
+// cleared wherever Layout() does not read it (every source but CSV) or
+// reads it as the default label, so a resubmission that only relabels a job
+// is the same job. Specs without such a Name hash exactly as they marshal.
+func (s JobSpec) canonicalJSON() []byte {
+	if s.CSV == "" || s.Name == defaultUploadName {
+		s.Name = ""
+	}
 	b, err := json.Marshal(s)
 	if err != nil {
 		// A JobSpec is plain data; Marshal cannot fail on it.
 		panic(fmt.Sprintf("serve: marshal spec: %v", err))
 	}
-	sum := sha256.Sum256(b)
-	return "j-" + hex.EncodeToString(sum[:8])
+	return b
 }
 
 // groupKey buckets specs whose jobs can share one pipelined flow invocation:

@@ -576,13 +576,8 @@ func (s *Server) jobID(spec JobSpec) string {
 	if fp == "" {
 		return spec.ID()
 	}
-	b, err := json.Marshal(spec)
-	if err != nil {
-		// A JobSpec is plain data; Marshal cannot fail on it.
-		panic(fmt.Sprintf("serve: marshal spec: %v", err))
-	}
 	h := sha256.New()
-	h.Write(b)
+	h.Write(spec.canonicalJSON())
 	h.Write([]byte{0})
 	h.Write([]byte(fp))
 	return "j-" + hex.EncodeToString(h.Sum(nil)[:8])

@@ -2,9 +2,9 @@
 # CI gate: clean-tree guard, vet, build, full test suite, the race detector
 # over the packages with concurrent hot paths (worker pool, FFT scratch
 # sharing, the mask-lane ILT session, candidate fan-out), and short fuzz
-# smokes on the GDS and CSV readers and the artifact envelope so
-# hostile-input regressions surface before a long fuzz campaign would find
-# them.
+# smokes on the GDS and CSV readers, the artifact envelope and the serve
+# job-spec decode and content hash so hostile-input regressions surface
+# before a long fuzz campaign would find them.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -19,6 +19,7 @@ go test -timeout 600s -race ./internal/ilt ./internal/litho ./internal/fft ./int
 go test -run='^$' -fuzz='^FuzzReadGDS$' -fuzztime=10s ./internal/gds
 go test -run='^$' -fuzz='^FuzzReadCSV$' -fuzztime=10s ./internal/layout
 go test -run='^$' -fuzz='^FuzzUnseal$' -fuzztime=10s ./internal/artifact
+go test -run='^$' -fuzz='^FuzzJobSpec$' -fuzztime=10s ./internal/serve
 
 # Compute-engine gates: alloc-regression tests on the ILT and NN hot paths,
 # and 100-iteration smokes of the FFT and GEMM benchmarks, which include the
@@ -30,15 +31,21 @@ go test -run='^$' -bench='^BenchmarkGEMM' -benchtime=100x ./internal/tensor
 
 # Vector-kernel gates. go vet's asmdecl pass cross-checks every assembly
 # function against its Go declaration (frame size, argument offsets); run it
-# explicitly over the package carrying the .s files so the gate is visible
-# even if the repo-wide vet above ever narrows. The engine-equivalence fuzz
-# seeds get a smoke run. Then the spectral and NN suites and their consumers
-# run as a 386 build, which compiles the pure-Go FFT and GEMM engines — the
-# only ones on non-amd64 hosts — so that fallback cannot rot. The artifact
-# reader rides along: 32-bit ints are where a length claim overflows a
-# slice.
+# explicitly over the packages carrying the .s files so the gate is visible
+# even if the repo-wide vet above ever narrows. The FFT engine-equivalence
+# and sigmoid fuzz seeds get a smoke run. The sigmoid kernel mirrors
+# math.Exp's FMA branch; GODEBUG=cpu.fma=off moves math.Exp to its SSE
+# branch, and the second litho run checks that the init probe then falls
+# back to the scalar loop. Then the spectral and NN suites and their
+# consumers run as a 386 build, which compiles the pure-Go FFT, GEMM and
+# sigmoid engines — the only ones on non-amd64 hosts — so that fallback
+# cannot rot. The artifact reader rides along: 32-bit ints are where a
+# length claim overflows a slice.
 go vet ./internal/fft
+go vet ./internal/litho
 go test -run='^$' -fuzz='^FuzzVecEquivalence$' -fuzztime=10s ./internal/fft
+go test -run='^$' -fuzz='^FuzzSigmoid$' -fuzztime=10s ./internal/litho
+GODEBUG=cpu.fma=off go test -timeout 300s ./internal/litho
 GOARCH=386 go test -timeout 300s ./internal/fft ./internal/tensor ./internal/litho ./internal/ilt ./internal/core ./internal/artifact
 tmpout="$(mktemp -d)"
 trap 'rm -rf "$tmpout"' EXIT
