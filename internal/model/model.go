@@ -138,15 +138,16 @@ func (c Config) Validate() error {
 
 // Predictor is the trained printability estimator. A Predictor is not safe
 // for concurrent use, but PredictBatch parallelizes internally: the batch is
-// sharded over worker lanes, each lane forwarding through its own frozen
-// replica of the network (nn layers are single-goroutine). Every sample's
-// forward pass is independent of its batchmates (inference-mode batch norm
-// uses running statistics), so sharded scores are bit-identical to the
-// single-batch ones.
+// sharded over worker lanes, each forwarding through its own lane of the
+// network (nn layers are single-goroutine). Every sample's forward pass is
+// independent of its batchmates (inference-mode batch norm uses running
+// statistics), so sharded scores are bit-identical to the single-batch ones.
 //
-// Inference runs through nn.Network.Freeze() replicas — deep copies with
-// batch norm folded into the preceding convolutions — built lazily once per
-// weight generation and cached together with the lane pool, so steady-state
+// Inference runs on one nn.Network.Freeze() copy — batch norm folded into
+// the preceding convolutions, conv weights pre-packed for the GEMM, no
+// gradient buffers — frozen lazily once per weight generation. Every lane
+// reads that one weight set (nn.Network.Lane) and owns only its activation
+// caches. The lanes are cached with the lane pool, so steady-state
 // PredictBatch calls rebuild nothing.
 type Predictor struct {
 	Cfg   Config
@@ -155,7 +156,7 @@ type Predictor struct {
 	clock *simclock.Clock
 
 	workers int              // batch-sharding lanes; 0 = par.Workers()
-	frozen  []*nn.Network    // lazily built folded per-lane inference replicas
+	frozen  []*nn.Network    // lazily built inference lanes; lane 0 is the frozen copy
 	pool    *par.Pool        // cached lane pool, rebuilt when workers changes
 	inx     []*tensor.Tensor // per-lane cached input batch tensors
 }
@@ -204,13 +205,13 @@ func (p *Predictor) SetWorkers(n int) {
 		n = 0
 	}
 	p.workers = n
-	// The frozen replicas stay valid (weights unchanged); only the lane
-	// pool is sized by the worker count.
+	// The frozen lanes stay valid (weights unchanged); only the lane pool
+	// is sized by the worker count.
 	p.pool = nil
 }
 
-// invalidateReplicas drops the folded inference replicas; called whenever
-// the canonical parameters are about to change.
+// invalidateReplicas drops the frozen inference lanes; called whenever the
+// canonical parameters are about to change.
 func (p *Predictor) invalidateReplicas() { p.frozen = nil }
 
 // lanePool returns the cached worker pool, building it on first use after a
@@ -222,12 +223,16 @@ func (p *Predictor) lanePool() *par.Pool {
 	return p.pool
 }
 
-// frozenNets returns n folded inference replicas of the current weights,
-// growing the cache on demand. Replica 0 serves the serial path too, so
-// serial and sharded predictions run the identical folded network.
+// frozenNets returns n inference lanes of the current weights, growing the
+// cache on demand: the network is frozen once, and every further lane
+// shares that frozen weight set. Lane 0 serves the serial path too, so
+// serial and sharded predictions run the identical folded weights.
 func (p *Predictor) frozenNets(n int) []*nn.Network {
-	for len(p.frozen) < n {
+	if len(p.frozen) == 0 {
 		p.frozen = append(p.frozen, p.Net.Freeze())
+	}
+	for len(p.frozen) < n {
+		p.frozen = append(p.frozen, p.frozen[0].Lane())
 	}
 	return p.frozen[:n]
 }
@@ -284,7 +289,7 @@ func (p *Predictor) PredictBatch(imgs []*grid.Grid) []float64 {
 
 // PredictBatchInto is PredictBatch writing into a caller-owned score slice
 // (len(out) must equal len(imgs)). Once warm, a call at a previously seen
-// batch size reuses the cached lane input tensors and the folded replicas,
+// batch size reuses the cached lane input tensors and the frozen lanes,
 // so the coalesced prediction stage of the pipelined flow adds no
 // steady-state garbage beyond any needed input resampling.
 //
@@ -316,7 +321,7 @@ func (p *Predictor) PredictBatchInto(imgs []*grid.Grid, out []float64) {
 }
 
 // predictSharded splits imgs into lanes contiguous shards, forwards each
-// through its lane's network replica, and assembles scores in input order.
+// through its inference lane, and assembles scores in input order.
 func (p *Predictor) predictSharded(imgs []*grid.Grid, out []float64, pool *par.Pool, nets []*nn.Network, lanes int) {
 	pool.Map(lanes, func(_, shard int) {
 		lo := shard * len(imgs) / lanes

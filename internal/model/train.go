@@ -119,7 +119,7 @@ func (p *Predictor) TrainCtx(ctx context.Context, ds *Dataset, tc TrainConfig) (
 		return nil, fmt.Errorf("model: invalid train config %+v", tc)
 	}
 	// Training rewrites the canonical weights; any cached inference
-	// replicas are stale from here on.
+	// lanes are stale from here on.
 	p.invalidateReplicas()
 	raw := make([]float64, ds.Len())
 	for i, s := range ds.Samples {

@@ -17,12 +17,15 @@ import (
 //
 // All working buffers (column matrix, GEMM output, activations, gradients)
 // are cached on the layer and reused, so Forward and Backward are
-// allocation-free at steady state.
+// allocation-free at steady state. A frozen conv (see Network.Freeze) runs
+// Forward only: it borrows its column matrix from the tensor scratch pool
+// for the one GEMM that reads it.
 type Conv2D struct {
 	InC, OutC, K, Stride, Pad int
 
-	weight *Param // OutC x (InC*K*K)
+	weight *Param // OutC x (InC*K*K); tensor.MatMulPacked's layout when frozen
 	bias   *Param // OutC, optional
+	frozen bool   // inference-only: packed weights, pooled column matrix
 
 	// cached working set, grown once to steady-state size
 	in      *tensor.Tensor
@@ -42,10 +45,10 @@ func NewConv2D(rng *rand.Rand, inC, outC, k, stride, pad int, withBias bool) *Co
 		panic(fmt.Sprintf("nn: invalid conv %d->%d k%d s%d p%d", inC, outC, k, stride, pad))
 	}
 	c := &Conv2D{InC: inC, OutC: outC, K: k, Stride: stride, Pad: pad}
-	c.weight = newParam("conv.weight", outC*inC*k*k)
+	c.weight = newLazyParam("conv.weight", outC*inC*k*k)
 	heInit(rng, c.weight.Data, inC*k*k)
 	if withBias {
-		c.bias = newParam("conv.bias", outC)
+		c.bias = newLazyParam("conv.bias", outC)
 	}
 	return c
 }
@@ -65,10 +68,17 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	cols := oh * ow
 	bcols := x.N * cols
 
-	c.col = ensureF(c.col, ck*bcols)
-	tensor.Im2ColBatch(x.Data, x.N, c.geom, c.col)
 	c.gemmOut = ensureF(c.gemmOut, c.OutC*bcols)
-	tensor.MatMul(c.weight.Data, c.OutC, ck, c.col, bcols, c.gemmOut)
+	if c.frozen {
+		col := tensor.GetScratch(ck * bcols)
+		tensor.Im2ColBatch(x.Data, x.N, c.geom, *col)
+		tensor.MatMulPacked(c.weight.Data, c.OutC, ck, *col, bcols, c.gemmOut)
+		tensor.PutScratch(col)
+	} else {
+		c.col = ensureF(c.col, ck*bcols)
+		tensor.Im2ColBatch(x.Data, x.N, c.geom, c.col)
+		tensor.MatMul(c.weight.Data, c.OutC, ck, c.col, bcols, c.gemmOut)
+	}
 
 	// Permute OutC x (N*cols) back to NCHW, fusing the bias add.
 	c.out = tensor.Ensure(c.out, x.N, c.OutC, oh, ow)
@@ -96,6 +106,9 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	if c.frozen {
+		panic("nn: Backward through a frozen conv")
+	}
 	x := c.in
 	oh, ow := c.geom.OutH(), c.geom.OutW()
 	cols := oh * ow

@@ -21,14 +21,19 @@ import (
 type Param struct {
 	Name string
 	Data []float64
+	// Grad is the gradient buffer, allocated by the first ZeroGrads, so a
+	// network that only ever runs inference holds none.
 	Grad []float64
-	// NoGrad marks tracked state (batch-norm running statistics) that is
-	// serialized with the model but skipped by the optimizer.
+	// NoGrad marks parameters the optimizer skips and that never carry a
+	// gradient: tracked state (batch-norm running statistics), which is
+	// serialized with the model, and every parameter of a frozen network.
 	NoGrad bool
 }
 
-func newParam(name string, n int) *Param {
-	return &Param{Name: name, Data: make([]float64, n), Grad: make([]float64, n)}
+// newLazyParam returns a trainable parameter whose gradient buffer waits
+// for the first ZeroGrads.
+func newLazyParam(name string, n int) *Param {
+	return &Param{Name: name, Data: make([]float64, n)}
 }
 
 func newStateParam(name string, n int) *Param {
@@ -81,11 +86,15 @@ func heInit(rng *rand.Rand, w []float64, fanIn int) {
 	}
 }
 
-// ZeroGrads clears the gradient buffers of all params.
+// ZeroGrads clears the gradient buffers of all params, allocating the
+// buffer of each trainable param on first use: gradient storage appears
+// when training starts, so every training step calls ZeroGrads before
+// Backward. NoGrad params never get one.
 func ZeroGrads(params []*Param) {
 	for _, p := range params {
-		for i := range p.Grad {
-			p.Grad[i] = 0
+		if p.Grad == nil && !p.NoGrad {
+			p.Grad = make([]float64, len(p.Data))
 		}
+		clear(p.Grad)
 	}
 }

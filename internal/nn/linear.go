@@ -29,9 +29,9 @@ func NewLinear(rng *rand.Rand, in, out int) *Linear {
 		panic(fmt.Sprintf("nn: invalid linear %d->%d", in, out))
 	}
 	l := &Linear{In: in, Out: out}
-	l.weight = newParam("linear.weight", out*in)
+	l.weight = newLazyParam("linear.weight", out*in)
 	heInit(rng, l.weight.Data, in)
-	l.bias = newParam("linear.bias", out)
+	l.bias = newLazyParam("linear.bias", out)
 	return l
 }
 

@@ -27,8 +27,8 @@ type BatchNorm2D struct {
 // running variance 1).
 func NewBatchNorm2D(c int) *BatchNorm2D {
 	bn := &BatchNorm2D{C: c, Eps: 1e-5, Momentum: 0.1}
-	bn.gamma = newParam("bn.gamma", c)
-	bn.beta = newParam("bn.beta", c)
+	bn.gamma = newLazyParam("bn.gamma", c)
+	bn.beta = newLazyParam("bn.beta", c)
 	bn.runMean = newStateParam("bn.running_mean", c)
 	bn.runVar = newStateParam("bn.running_var", c)
 	for i := 0; i < c; i++ {

@@ -151,10 +151,17 @@ func (s JobSpec) ID() string {
 // canonicalJSON is the spec's content-hash preimage: its JSON with Name
 // cleared wherever Layout() does not read it (every source but CSV) or
 // reads it as the default label, so a resubmission that only relabels a job
-// is the same job. Specs without such a Name hash exactly as they marshal.
+// is the same job. gds_b64 enters as the canonical encoding of the bytes it
+// decodes to: StdEncoding skips line breaks and ignores non-zero padding
+// bits, so every spelling of one GDS stream is one job. Text that does not
+// decode hashes as sent. Specs without such a Name, and with canonically
+// encoded GDS, hash exactly as they marshal.
 func (s JobSpec) canonicalJSON() []byte {
 	if s.CSV == "" || s.Name == defaultUploadName {
 		s.Name = ""
+	}
+	if raw, err := base64.StdEncoding.DecodeString(s.GDSB64); err == nil {
+		s.GDSB64 = base64.StdEncoding.EncodeToString(raw)
 	}
 	b, err := json.Marshal(s)
 	if err != nil {

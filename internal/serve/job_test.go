@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"ldmo/internal/gds"
@@ -59,11 +60,64 @@ func seedGDS(tb testing.TB) string {
 	return base64.StdEncoding.EncodeToString(buf.Bytes())
 }
 
+// TestJobIDCanonicalizesGDSBase64: StdEncoding skips line breaks and
+// ignores non-zero padding bits, so every spelling of one GDS stream is one
+// job, on the plain ID and on a server that folds engine provenance in. The
+// canonical spelling keeps the ID it was issued before, and text that does
+// not decode still hashes as sent.
+func TestJobIDCanonicalizesGDSBase64(t *testing.T) {
+	canon := JobSpec{GDSB64: "QQ=="}
+	if got := canon.ID(); got != "j-f43923cd6b28fced" {
+		t.Fatalf("canonical GDS spec ID drifted: %s", got)
+	}
+	gdsB64 := seedGDS(t)
+	srv, _ := newTestServer(t, func(c *Config) { c.WarmStarter = &fakeWarm{digest: "aaaa"} })
+	for _, pair := range [][2]JobSpec{
+		{canon, {GDSB64: "QR=="}},
+		{{GDSB64: gdsB64}, {GDSB64: gdsB64[:10] + "\n" + gdsB64[10:]}},
+	} {
+		if pair[0].ID() != pair[1].ID() {
+			t.Errorf("gds_b64 %.16q and %.16q decode alike but get IDs %s and %s",
+				pair[0].GDSB64, pair[1].GDSB64, pair[0].ID(), pair[1].ID())
+		}
+		if srv.jobID(pair[0]) != srv.jobID(pair[1]) {
+			t.Errorf("gds_b64 %.16q and %.16q decode alike but get different provenance IDs", pair[0].GDSB64, pair[1].GDSB64)
+		}
+	}
+	if (JobSpec{GDSB64: "Q"}).ID() == (JobSpec{GDSB64: "R"}).ID() {
+		t.Error("two undecodable gds_b64 texts share an ID")
+	}
+}
+
+// gdsRespellings returns other StdEncoding spellings of the bytes that
+// decodable text b64 holds: line breaks inserted at a position chosen by at,
+// and the canonical encoding with its unused padding bits set.
+func gdsRespellings(b64 string, at int) []string {
+	at %= len(b64) + 1
+	out := []string{b64[:at] + "\n" + b64[at:], b64[:at] + "\r\n" + b64[at:] + "\n"}
+	raw, _ := base64.StdEncoding.DecodeString(b64)
+	canon := base64.StdEncoding.EncodeToString(raw)
+	const alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+	last, unused := -1, 0
+	switch {
+	case strings.HasSuffix(canon, "=="):
+		last, unused = len(canon)-3, 0x0f
+	case strings.HasSuffix(canon, "="):
+		last, unused = len(canon)-2, 0x03
+	}
+	if last >= 0 {
+		c := alphabet[strings.IndexByte(alphabet, canon[last])|unused]
+		out = append(out, canon[:last]+string(c)+canon[last+1:])
+	}
+	return out
+}
+
 // FuzzJobSpec drives arbitrary bytes through the JSON decode and Validate
 // the submit handler runs, which must never panic. A spec that validates keeps its ID
-// across a JSON round trip and when a non-CSV source is relabelled, and
-// gets a new ID when any field that reaches Layout() or the flow
-// configuration changes.
+// across a JSON round trip, when a non-CSV source is relabelled, and when
+// its GDS upload is respelled (line breaks, padding bits), and gets a new
+// ID when any field that reaches Layout() or the flow configuration
+// changes.
 func FuzzJobSpec(f *testing.F) {
 	f.Add([]byte(`{"cell":"INV_X1"}`))
 	f.Add([]byte(`{"cell":"INV_X1","name":"inv","fast":true,"deadline_ms":500}`))
@@ -71,6 +125,7 @@ func FuzzJobSpec(f *testing.F) {
 	f.Add([]byte(`{"gds_b64":"` + seedGDS(f) + `","name":"g"}`))
 	f.Add([]byte(`{"csv":"# window 0 0 400 400\n100,100,165,165\n","name":"c"}`))
 	f.Add([]byte(`{"csv":"100,100,165,165\n","cell":"INV_X1"}`))
+	f.Add([]byte(`{"gds_b64":"QR==\n","fast":true}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var spec JobSpec
 		if json.NewDecoder(bytes.NewReader(data)).Decode(&spec) != nil || spec.Validate() != nil {
@@ -87,6 +142,15 @@ func FuzzJobSpec(f *testing.F) {
 		}
 		if back.ID() != id {
 			t.Fatalf("ID %s changed to %s across a JSON round trip of %s", id, back.ID(), b)
+		}
+		if _, err := base64.StdEncoding.DecodeString(spec.GDSB64); err == nil && spec.GDSB64 != "" {
+			for _, v := range gdsRespellings(spec.GDSB64, len(data)) {
+				respelled := spec
+				respelled.GDSB64 = v
+				if respelled.ID() != id {
+					t.Fatalf("respelling gds_b64 of %s as %q changed its ID", b, v)
+				}
+			}
 		}
 		if spec.CSV == "" {
 			relabelled := spec

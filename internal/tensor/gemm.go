@@ -1,44 +1,24 @@
 // Blocked, panel-packed GEMM kernels — the compute core under every conv and
-// linear layer. The engine blocks the operands into cache-sized panels,
-// packs them into contiguous scratch (pooled, size-keyed — see scratch.go),
-// and runs a register-tiled micro-kernel over fixed-order strips.
+// linear layer. The engine packs A once into 4-row strips (or takes it
+// pre-packed, see MatMulPacked), blocks B into cache-sized panels (pooled,
+// size-keyed scratch — see scratch.go), and runs a register-tiled
+// micro-kernel over fixed-order strips.
 //
 // Determinism is part of the kernel contract, exactly as for the spectral
 // engine: every output element accumulates its k-products in ascending-k
-// order regardless of blocking, packing, or row-parallel sharding, so the
-// blocked engine is bit-identical to the naive ikj loops the package started
-// with (kept in the tests as the reference, with go test -bench A/B
-// benchmarks) on finite inputs, and bit-identical to itself at any worker
-// count.
+// order regardless of blocking or packing, so the blocked engine is
+// bit-identical to the naive ikj loops the package started with (kept in
+// the tests as the reference, with go test -bench A/B benchmarks) on finite
+// inputs.
 package tensor
 
-import "ldmo/internal/par"
-
 // Blocking parameters. kc*nc*8 bytes of packed B (~1 MiB) sits in L2 across
-// a whole row sweep; each 4-row packed A strip (4*kc*8 = 8 KiB) stays in L1
+// a whole row sweep; each 4-row A strip panel (4*kc*8 = 8 KiB) stays in L1
 // for the duration of its micro-kernel call.
 const (
-	blockMC = 64  // rows of A packed per panel
 	blockKC = 256 // shared dimension per panel
 	blockNC = 512 // columns of B packed per panel
 )
-
-// gemmWorkers is the row-parallel lane count for the blocked drivers;
-// 1 (the default) keeps them serial. Shards are fixed contiguous strip
-// ranges and every element's accumulation order is worker-independent, so
-// serial and parallel results are bit-identical.
-var gemmWorkers = 1
-
-// SetWorkers sets the row-parallel lane count of the blocked GEMM drivers
-// (n <= 1 forces serial). Parallel output is bit-identical to serial: lanes
-// own disjoint 4-row output strips in fixed order and share only the
-// read-only packed B panel.
-func SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	gemmWorkers = n
-}
 
 // packB copies the kc x nc panel of row-major b (full width n) starting at
 // (pc, jc) into contiguous dst, row-major.
@@ -48,25 +28,26 @@ func packB(b []float64, n, pc, jc, kc, nc int, dst []float64) {
 	}
 }
 
-// packA interleaves an mr-row strip of A (row-major, leading dimension lda)
-// starting at row i0, columns [pc, pc+kc), into dst so the micro-kernel
-// reads dst[kk*mr+r] sequentially.
-func packA(a []float64, lda, i0, pc, kc, mr int, dst []float64) {
-	for r := 0; r < mr; r++ {
-		row := a[(i0+r)*lda+pc:]
-		for kk := 0; kk < kc; kk++ {
-			dst[kk*mr+r] = row[kk]
+// packA writes the m x k matrix A into dst (len m*k) in the strip-interleaved
+// layout MatMulPacked documents: strip s (rows 4s.., mr = min(4, m-4s) of
+// them) occupies dst[4s*k : 4s*k+mr*k] and holds A[4s+r][kk] at offset
+// kk*mr + r, so a kc-deep panel starting at column pc is the contiguous run
+// from offset pc*mr. A is row-major m x k, or stored k x m and read
+// transposed when transA is set.
+func packA(a []float64, transA bool, m, k int, dst []float64) {
+	for i0 := 0; i0 < m; i0 += 4 {
+		mr := min(4, m-i0)
+		strip := dst[i0*k : i0*k+mr*k]
+		if transA {
+			for kk := 0; kk < k; kk++ {
+				copy(strip[kk*mr:kk*mr+mr], a[kk*m+i0:kk*m+i0+mr])
+			}
+			continue
 		}
-	}
-}
-
-// packAT is packA for a transposed operand: the logical A (m x k) is stored
-// as a k x m row-major matrix and read a[kk*lda + i]. Same packed layout.
-func packAT(a []float64, lda, i0, pc, kc, mr int, dst []float64) {
-	for kk := 0; kk < kc; kk++ {
-		src := a[(pc+kk)*lda+i0:]
 		for r := 0; r < mr; r++ {
-			dst[kk*mr+r] = src[r]
+			for kk, v := range a[(i0+r)*k : (i0+r+1)*k] {
+				strip[kk*mr+r] = v
+			}
 		}
 	}
 }
@@ -94,47 +75,26 @@ func kern4(apack []float64, kc int, bpack []float64, nc int, c0, c1, c2, c3 []fl
 	}
 }
 
-// kern4Tail finishes the 1..3 column tail the vectorized kernel leaves
-// behind, columns [j0, nc), with the same per-element ascending-k order.
-func kern4Tail(apack []float64, kc int, bpack []float64, nc, j0 int, c0, c1, c2, c3 []float64) {
-	for kk := 0; kk < kc; kk++ {
-		a0 := apack[kk*4]
-		a1 := apack[kk*4+1]
-		a2 := apack[kk*4+2]
-		a3 := apack[kk*4+3]
-		brow := bpack[kk*nc : kk*nc+nc]
-		for j := j0; j < nc; j++ {
-			bj := brow[j]
-			c0[j] += a0 * bj
-			c1[j] += a1 * bj
-			c2[j] += a2 * bj
-			c3[j] += a3 * bj
-		}
-	}
-}
-
-// kern4Strip runs the full-width 4-row strip, vectorized when the host has
-// AVX. Both paths accumulate each element in ascending-k order with scalar
-// mul-then-add rounding, so they are bit-identical.
+// kern4Strip runs the full-width 4-row strip, on the register-tiled vector
+// kernel when the host has AVX. Both paths accumulate each element in
+// ascending-k order with scalar mul-then-add rounding, so they are
+// bit-identical.
 func kern4Strip(apack []float64, kc int, bpack []float64, nc int, c0, c1, c2, c3 []float64) {
-	vec := nc &^ 3
-	if haveAVX && vec > 0 {
-		kern4AVX(&apack[0], &bpack[0], &c0[0], &c1[0], &c2[0], &c3[0], kc, vec*8, nc*8)
-		if vec < nc {
-			kern4Tail(apack, kc, bpack, nc, vec, c0, c1, c2, c3)
-		}
+	if haveAVX {
+		kern4x8AVX(&apack[0], &bpack[0], &c0[0], &c1[0], &c2[0], &c3[0], kc, nc)
 		return
 	}
 	kern4(apack, kc, bpack, nc, c0, c1, c2, c3)
 }
 
-// kernN is the remainder kernel for 1..3 packed rows.
-func kernN(apack []float64, kc, mr int, bpack []float64, nc int, c [][]float64) {
+// kernN is the remainder kernel for 1..3 packed rows; row r of C starts at
+// c[r*ldc].
+func kernN(apack []float64, kc, mr int, bpack []float64, nc int, c []float64, ldc int) {
 	for kk := 0; kk < kc; kk++ {
 		brow := bpack[kk*nc : kk*nc+nc]
 		for r := 0; r < mr; r++ {
 			ar := apack[kk*mr+r]
-			crow := c[r][:nc]
+			crow := c[r*ldc : r*ldc+nc]
 			for j, bj := range brow {
 				crow[j] += ar * bj
 			}
@@ -142,81 +102,42 @@ func kernN(apack []float64, kc, mr int, bpack []float64, nc int, c [][]float64) 
 	}
 }
 
-// gemmPacked is the shared blocked driver for out = A x B (and A^T x B when
-// transA is set, with A stored k x m). out is m x n row-major and is zeroed
-// here; panels are processed in ascending jc, pc order and rows in ascending
-// strips, so accumulation per element is ascending-k.
+// gemmPacked computes out = A x B (A^T x B when transA is set, with A stored
+// k x m): it packs A once into pooled scratch and runs the blocked driver.
 func gemmPacked(a []float64, transA bool, m, k int, b []float64, n int, out []float64) {
-	for i := 0; i < m*n; i++ {
-		out[i] = 0
-	}
-	lda := k
-	if transA {
-		lda = m
-	}
+	abuf := getBuf(m * k)
+	ap := (*abuf)[:m*k]
+	packA(a, transA, m, k, ap)
+	gemmPrepacked(ap, m, k, b, n, out)
+	putBuf(abuf)
+}
+
+// gemmPrepacked is the blocked driver for out = A x B with A in packA's
+// layout. out is m x n row-major and is zeroed here; panels are processed
+// in ascending jc, pc order and rows in ascending strips, so accumulation
+// per element is ascending-k.
+func gemmPrepacked(ap []float64, m, k int, b []float64, n int, out []float64) {
+	clear(out[:m*n])
 	bbuf := getBuf(blockKC * blockNC)
 	bpack := (*bbuf)[:blockKC*blockNC]
-	abuf := getBuf(4 * blockKC)
-	apack := (*abuf)[:4*blockKC]
-	workers := gemmWorkers
-	strips := (m + 3) / 4
 	for jc := 0; jc < n; jc += blockNC {
 		nc := min(blockNC, n-jc)
 		for pc := 0; pc < k; pc += blockKC {
 			kc := min(blockKC, k-pc)
 			packB(b, n, pc, jc, kc, nc, bpack)
-			if workers > 1 && strips > 1 {
-				runPanelParallel(a, transA, lda, m, n, pc, kc, jc, nc, bpack, out, workers, strips)
-			} else {
-				for s := 0; s < strips; s++ {
-					runStrip(a, transA, lda, m, n, pc, kc, jc, nc, bpack, apack, out, s)
+			for i0 := 0; i0 < m; i0 += 4 {
+				mr := min(4, m-i0)
+				apanel := ap[i0*k+pc*mr : i0*k+(pc+kc)*mr]
+				c := out[i0*n+jc:]
+				if mr == 4 {
+					kern4Strip(apanel, kc, bpack, nc, c[:nc], c[n:n+nc], c[2*n:2*n+nc], c[3*n:3*n+nc])
+				} else {
+					kernN(apanel, kc, mr, bpack, nc, c, n)
 				}
 			}
 		}
 	}
-	putBuf(abuf)
 	putBuf(bbuf)
-}
-
-// runStrip packs one 4-row (or remainder) strip of A for the current panel
-// and runs the micro-kernel into its out rows.
-func runStrip(a []float64, transA bool, lda, m, n, pc, kc, jc, nc int, bpack, apack, out []float64, s int) {
-	i0 := s * 4
-	mr := min(4, m-i0)
-	if transA {
-		packAT(a, lda, i0, pc, kc, mr, apack)
-	} else {
-		packA(a, lda, i0, pc, kc, mr, apack)
-	}
-	if mr == 4 {
-		kern4Strip(apack, kc, bpack, nc,
-			out[i0*n+jc:i0*n+jc+nc], out[(i0+1)*n+jc:(i0+1)*n+jc+nc],
-			out[(i0+2)*n+jc:(i0+2)*n+jc+nc], out[(i0+3)*n+jc:(i0+3)*n+jc+nc])
-	} else {
-		var rows [3][]float64
-		for r := 0; r < mr; r++ {
-			rows[r] = out[(i0+r)*n+jc:]
-		}
-		kernN(apack, kc, mr, bpack, nc, rows[:mr])
-	}
-}
-
-// runPanelParallel shards one packed panel's strips over a worker pool in
-// fixed order: lane l owns strips l, l+w, l+2w, … Each strip writes only its
-// own out rows; bpack is shared read-only, apack is per-lane, and every
-// element's accumulation order is identical to the serial sweep.
-func runPanelParallel(a []float64, transA bool, lda, m, n, pc, kc, jc, nc int, bpack, out []float64, workers, strips int) {
-	pool := par.NewPool(min(workers, strips))
-	abufs := make([]*[]float64, pool.Size())
-	for l := range abufs {
-		abufs[l] = getBuf(4 * blockKC)
-	}
-	pool.Map(strips, func(worker, s int) {
-		runStrip(a, transA, lda, m, n, pc, kc, jc, nc, bpack, (*abufs[worker])[:4*blockKC], out, s)
-	})
-	for _, ab := range abufs {
-		putBuf(ab)
-	}
 }
 
 // gemmABT computes out = A x B^T (A m x k, B n x k, out m x n) with a

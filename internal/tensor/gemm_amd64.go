@@ -9,13 +9,14 @@ var haveAVX = cpuidAVX()
 // XCR0 state enablement). Implemented in gemm_amd64.s.
 func cpuidAVX() bool
 
-// kern4AVX is the AVX form of kern4 over the first vecBytes/8 columns of the
-// strip: c_r[j] += apack[kk*4+r] * bpack[kk][j] for ascending kk, four
-// columns per vector. bpack rows are rowBytes apart. Implemented in
+// kern4x8AVX is the AVX form of kern4 over the whole strip: c_r[j] +=
+// apack[kk*4+r] * bpack[kk*nc+j] for ascending kk and every j < nc, with
+// each 4x8 C tile held in registers across the kc steps and the last 1..3
+// columns under a lane mask. kc must be positive. Implemented in
 // gemm_amd64.s.
 //
 //go:noescape
-func kern4AVX(apack, bpack, c0, c1, c2, c3 *float64, kc, vecBytes, rowBytes int)
+func kern4x8AVX(apack, bpack, c0, c1, c2, c3 *float64, kc, nc int)
 
 // dot4x4AVX computes a 4x4 tile of A x B^T: o_r[0..3] = sum_kk a_r[kk] *
 // bpack[kk*4+s], accumulated in registers over ascending kk and stored as

@@ -67,12 +67,21 @@ func randSlice(rng *rand.Rand, n int) []float64 {
 
 // gemmShapes are the randomized-property shapes: every remainder class of the
 // 4-row strips and 4x4 dot tiles, the k=1/n=1/m=1 edges, and sizes spanning
-// one panel up to several blocking panels in every dimension.
+// one panel up to several blocking panels in every dimension. The vector
+// kernel's paths each get a shape: n = 8..15 covers every column residue
+// mod 8 (8-column blocks, the 4-column block, the masked 1..3 tail),
+// n = 49 is six blocks plus one masked column (stage 4 at batch 1), n = 196
+// ends on a 4-column block, k = 257 and 515 reach a second and third kc
+// panel, and m not a multiple of 4 runs the remainder kernel.
 func gemmShapes(rng *rand.Rand) [][3]int {
 	shapes := [][3]int{
 		{1, 1, 1}, {1, 7, 1}, {4, 1, 4}, {3, 5, 2}, {5, 3, 9},
 		{4, 4, 4}, {8, 49, 33}, {13, 17, 19}, {64, 256, 512},
 		{65, 257, 513}, {2, 300, 600}, {48, 144, 784},
+		{8, 37, 49}, {4, 64, 196}, {12, 257, 49}, {6, 515, 196}, {7, 515, 15},
+	}
+	for n := 8; n <= 15; n++ {
+		shapes = append(shapes, [3]int{4 + n%5, 9 + n, n})
 	}
 	for i := 0; i < 8; i++ {
 		shapes = append(shapes, [3]int{1 + rng.Intn(70), 1 + rng.Intn(300), 1 + rng.Intn(600)})
@@ -97,6 +106,61 @@ func TestBlockedMatMulMatchesNaive(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("MatMul m=%d k=%d n=%d: out[%d] = %g (blocked) vs %g (naive), diff %g",
 					m, k, n, i, got[i], want[i], got[i]-want[i])
+			}
+		}
+	}
+}
+
+// TestMatMulPackedMatchesNaive holds the pre-packed entry point to the same
+// contract, with A packed once by packA.
+func TestMatMulPackedMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for _, sh := range gemmShapes(rng) {
+		m, k, n := sh[0], sh[1], sh[2]
+		a := randSlice(rng, m*k)
+		b := randSlice(rng, k*n)
+		ap := make([]float64, m*k)
+		packA(a, false, m, k, ap)
+		got := make([]float64, m*n)
+		want := make([]float64, m*n)
+		MatMulPacked(ap, m, k, b, n, got)
+		matMulNaive(a, m, k, b, n, want)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("MatMulPacked m=%d k=%d n=%d: out[%d] = %g vs %g", m, k, n, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestPackALayout pins the packed layout MatMulPacked documents, which
+// callers outside the package write themselves: A[4s+r][kk] sits at
+// 4s*k + kk*mr + r, with mr the strip's row count, for A read directly and
+// read transposed.
+func TestPackALayout(t *testing.T) {
+	for _, m := range []int{1, 4, 6, 9} {
+		const k = 5
+		a := make([]float64, m*k)
+		at := make([]float64, k*m)
+		for i := 0; i < m; i++ {
+			for kk := 0; kk < k; kk++ {
+				a[i*k+kk] = float64(100*i + kk)
+				at[kk*m+i] = a[i*k+kk]
+			}
+		}
+		ap := make([]float64, m*k)
+		apt := make([]float64, m*k)
+		packA(a, false, m, k, ap)
+		packA(at, true, m, k, apt)
+		for i := 0; i < m; i++ {
+			s, r := i/4, i%4
+			mr := min(4, m-4*s)
+			for kk := 0; kk < k; kk++ {
+				idx := 4*s*k + kk*mr + r
+				if ap[idx] != a[i*k+kk] || apt[idx] != a[i*k+kk] {
+					t.Fatalf("m=%d: A[%d][%d] = %g, packed %g, packed from A^T %g",
+						m, i, kk, a[i*k+kk], ap[idx], apt[idx])
+				}
 			}
 		}
 	}
@@ -159,31 +223,6 @@ func TestBlockedToleratesZeros(t *testing.T) {
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-9 {
 			t.Fatalf("out[%d] = %g vs %g beyond 1e-9", i, got[i], want[i])
-		}
-	}
-}
-
-// TestRowParallelGEMMBitIdentical checks the fixed-shard-order contract:
-// row-parallel blocked GEMM is bit-identical to serial at any lane count.
-func TestRowParallelGEMMBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(46))
-	defer SetWorkers(1)
-	for _, sh := range [][3]int{{37, 120, 200}, {64, 256, 512}, {6, 30, 40}} {
-		m, k, n := sh[0], sh[1], sh[2]
-		a := randSlice(rng, m*k)
-		b := randSlice(rng, k*n)
-		SetWorkers(1)
-		serial := make([]float64, m*n)
-		gemmPacked(a, false, m, k, b, n, serial)
-		for _, w := range []int{2, 3, 8} {
-			SetWorkers(w)
-			got := make([]float64, m*n)
-			gemmPacked(a, false, m, k, b, n, got)
-			for i := range serial {
-				if got[i] != serial[i] {
-					t.Fatalf("workers=%d m=%d: out[%d] = %g vs serial %g", w, m, i, got[i], serial[i])
-				}
-			}
 		}
 	}
 }
@@ -280,18 +319,84 @@ func TestGEMMSteadyStateAllocs(t *testing.T) {
 	at := randSlice(rng, k*m)
 	b := randSlice(rng, k*n)
 	bt := randSlice(rng, n*k)
+	ap := make([]float64, m*k)
+	packA(a, false, m, k, ap)
 	out := make([]float64, m*n)
 	outABT := make([]float64, m*n)
 	step := func() {
 		MatMul(a, m, k, b, n, out)
 		MatMulATB(at, k, m, b[:k*n], n, out)
 		MatMulABT(a, m, k, bt, n, outABT[:m*n])
+		MatMulPacked(ap, m, k, b, n, out)
 	}
 	step()
 	step()
 	if avg := testing.AllocsPerRun(10, step); avg != 0 {
 		t.Fatalf("blocked GEMM kernels allocate %.1f times per run at steady state", avg)
 	}
+}
+
+// fuzzOperand fills a slice with finite values over a wide exponent range
+// (products stay far from overflow) and plants +0 and -0 among them.
+func fuzzOperand(rng *rand.Rand, n int) []float64 {
+	s := make([]float64, n)
+	for i := range s {
+		switch rng.Intn(8) {
+		case 0:
+			s[i] = 0
+		case 1:
+			s[i] = math.Copysign(0, -1)
+		default:
+			s[i] = math.Ldexp(rng.NormFloat64(), rng.Intn(41)-20)
+		}
+	}
+	return s
+}
+
+// FuzzGEMM holds every GEMM path to the naive loops, bitwise (±0 included),
+// over fuzzed shapes and data. Signed zeros cannot break the equality:
+// an accumulator starting at +0 never becomes -0, so adding a ±0 product
+// leaves it unchanged, exactly as the naive loops' zero-skip does.
+func FuzzGEMM(f *testing.F) {
+	f.Add(uint8(3), uint16(8), uint16(14), int64(1))
+	f.Add(uint8(7), uint16(514), uint16(48), int64(2))
+	f.Add(uint8(19), uint16(256), uint16(599), int64(3))
+	f.Fuzz(func(t *testing.T, mb uint8, kb, nb uint16, seed int64) {
+		m, k, n := 1+int(mb)%20, 1+int(kb)%600, 1+int(nb)%600
+		rng := rand.New(rand.NewSource(seed))
+		a := fuzzOperand(rng, m*k)
+		b := fuzzOperand(rng, k*n)
+		bt := fuzzOperand(rng, n*k)
+		at := make([]float64, k*m)
+		for i := 0; i < m; i++ {
+			for kk := 0; kk < k; kk++ {
+				at[kk*m+i] = a[i*k+kk]
+			}
+		}
+		ap := make([]float64, m*k)
+		packA(a, false, m, k, ap)
+		want := make([]float64, m*n)
+		got := make([]float64, m*n)
+		check := func(name string) {
+			t.Helper()
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s m=%d k=%d n=%d: out[%d] = %g vs naive %g", name, m, k, n, i, got[i], want[i])
+				}
+			}
+		}
+		matMulNaive(a, m, k, b, n, want)
+		MatMul(a, m, k, b, n, got)
+		check("MatMul")
+		MatMulPacked(ap, m, k, b, n, got)
+		check("MatMulPacked")
+		matMulATBNaive(at, k, m, b, n, want)
+		MatMulATB(at, k, m, b, n, got)
+		check("MatMulATB")
+		matMulABTNaive(a, m, k, bt, n, want)
+		MatMulABT(a, m, k, bt, n, got)
+		check("MatMulABT")
+	})
 }
 
 // The Naive benchmarks A/B the blocked engine against the reference loops.

@@ -2,9 +2,8 @@
 // primitives (GEMM, im2col/col2im) underneath the neural-network layers of
 // the printability predictor. Everything is float64. The matrix engine is
 // the cache-blocked, panel-packed GEMM in gemm.go, which accumulates every
-// output element in ascending-k order. The kernels are serial unless
-// SetWorkers enables the row-parallel (and still bit-identical) blocked
-// drivers; batch-level parallelism lives in the callers.
+// output element in ascending-k order. The kernels are serial;
+// batch-level parallelism lives in the callers.
 package tensor
 
 import (
@@ -119,6 +118,21 @@ func MatMul(a []float64, m, k int, b []float64, n int, out []float64) {
 			m, k, n, len(a), len(b), len(out)))
 	}
 	gemmPacked(a, false, m, k, b, n, out)
+}
+
+// MatMulPacked computes out = A x B like MatMul, with the m x k matrix A
+// supplied already packed, so a constant left operand (a frozen layer's
+// weights) is packed once instead of on every call. The packed layout cuts
+// A's rows into 4-row strips, the last one holding the m mod 4 remainder
+// rows when m is not a multiple of 4: strip s, with mr rows, occupies
+// ap[4s*k : 4s*k+mr*k] and holds A[4s+r][kk] at ap[4s*k + kk*mr + r]. The
+// result is bit-identical to MatMul on the unpacked matrix.
+func MatMulPacked(ap []float64, m, k int, b []float64, n int, out []float64) {
+	if len(ap) < m*k || len(b) < k*n || len(out) < m*n {
+		panic(fmt.Sprintf("tensor: packed matmul size mismatch m=%d k=%d n=%d (a=%d b=%d out=%d)",
+			m, k, n, len(ap), len(b), len(out)))
+	}
+	gemmPrepacked(ap, m, k, b, n, out)
 }
 
 // MatMulATB computes out = A^T x B where A is k x m (so A^T is m x k) and B

@@ -1,9 +1,10 @@
 #!/bin/sh
 # CI gate: clean-tree guard, vet, build, full test suite, the race detector
 # over the packages with concurrent hot paths (worker pool, FFT scratch
-# sharing, the mask-lane ILT session, candidate fan-out), and short fuzz
-# smokes on the GDS and CSV readers, the artifact envelope and the serve
-# job-spec decode and content hash so hostile-input regressions surface
+# sharing, the mask-lane ILT session, candidate fan-out, predictor lanes
+# reading one shared frozen weight set and the pooled GEMM scratch), and
+# short fuzz smokes on the GDS and CSV readers, the artifact envelope and the
+# serve job-spec decode and content hash so hostile-input regressions surface
 # before a long fuzz campaign would find them.
 set -eux
 
@@ -15,7 +16,7 @@ git diff --exit-code
 go vet ./...
 go build ./...
 go test -timeout 300s -shuffle=on ./...
-go test -timeout 600s -race ./internal/ilt ./internal/litho ./internal/fft ./internal/core ./internal/par ./internal/sampling ./internal/runx ./internal/faultinject ./internal/artifact ./internal/model ./internal/serve ./internal/factory
+go test -timeout 600s -race ./internal/ilt ./internal/litho ./internal/fft ./internal/core ./internal/par ./internal/sampling ./internal/runx ./internal/faultinject ./internal/artifact ./internal/tensor ./internal/nn ./internal/model ./internal/serve ./internal/factory
 go test -run='^$' -fuzz='^FuzzReadGDS$' -fuzztime=10s ./internal/gds
 go test -run='^$' -fuzz='^FuzzReadCSV$' -fuzztime=10s ./internal/layout
 go test -run='^$' -fuzz='^FuzzUnseal$' -fuzztime=10s ./internal/artifact
@@ -31,22 +32,26 @@ go test -run='^$' -bench='^BenchmarkGEMM' -benchtime=100x ./internal/tensor
 
 # Vector-kernel gates. go vet's asmdecl pass cross-checks every assembly
 # function against its Go declaration (frame size, argument offsets); run it
-# explicitly over the packages carrying the .s files so the gate is visible
-# even if the repo-wide vet above ever narrows. The FFT engine-equivalence
-# and sigmoid fuzz seeds get a smoke run. The sigmoid kernel mirrors
-# math.Exp's FMA branch; GODEBUG=cpu.fma=off moves math.Exp to its SSE
-# branch, and the second litho run checks that the init probe then falls
-# back to the scalar loop. Then the spectral and NN suites and their
-# consumers run as a 386 build, which compiles the pure-Go FFT, GEMM and
-# sigmoid engines — the only ones on non-amd64 hosts — so that fallback
-# cannot rot. The artifact reader rides along: 32-bit ints are where a
-# length claim overflows a slice.
+# explicitly over the packages carrying the .s files (FFT, sigmoid, GEMM) so
+# the gate is visible even if the repo-wide vet above ever narrows. The FFT
+# engine-equivalence, sigmoid and GEMM fuzz seeds get a smoke run; FuzzGEMM
+# holds the register-tiled GEMM kernel, masked column tail included, to the
+# naive loops bitwise. The sigmoid kernel mirrors math.Exp's FMA branch;
+# GODEBUG=cpu.fma=off moves math.Exp to its SSE branch, and the second litho
+# run checks that the init probe then falls back to the scalar loop. Then the
+# spectral and NN suites and their consumers run as a 386 build, which
+# compiles the pure-Go FFT, GEMM and sigmoid engines — the only ones on
+# non-amd64 hosts — so that fallback cannot rot; the nn and model suites hold
+# it to the same predictor score golden as the vector engine. The artifact
+# reader rides along: 32-bit ints are where a length claim overflows a slice.
 go vet ./internal/fft
 go vet ./internal/litho
+go vet ./internal/tensor
 go test -run='^$' -fuzz='^FuzzVecEquivalence$' -fuzztime=10s ./internal/fft
 go test -run='^$' -fuzz='^FuzzSigmoid$' -fuzztime=10s ./internal/litho
+go test -run='^$' -fuzz='^FuzzGEMM$' -fuzztime=10s ./internal/tensor
 GODEBUG=cpu.fma=off go test -timeout 300s ./internal/litho
-GOARCH=386 go test -timeout 300s ./internal/fft ./internal/tensor ./internal/litho ./internal/ilt ./internal/core ./internal/artifact
+GOARCH=386 go test -timeout 300s ./internal/fft ./internal/tensor ./internal/nn ./internal/model ./internal/litho ./internal/ilt ./internal/core ./internal/artifact
 tmpout="$(mktemp -d)"
 trap 'rm -rf "$tmpout"' EXIT
 
