@@ -9,17 +9,12 @@
 //	ldmo-bench -exp fig7 -out figs/   # printed-image comparison + PGM dumps
 //	ldmo-bench -exp fig8              # sampling-strategy comparison
 //	ldmo-bench -exp ablation          # selection-policy ablation
-//	ldmo-bench -exp parbench          # serial-vs-parallel OracleSelect,
-//	                                  # emits BENCH_parallel.json
-//	ldmo-bench -exp pipebench         # stage-at-a-time vs pipelined flow,
-//	                                  # emits BENCH_pipeline.json
-//	ldmo-bench -exp servebench        # job-service latency/throughput/shed
-//	                                  # drill, emits BENCH_serve.json
 //	ldmo-bench -exp factorybench      # dataset-factory scaling + chaos
 //	                                  # drill, emits BENCH_factory.json
-//	ldmo-bench -exp warmbench         # learned ILT warm-start cold-vs-warm
-//	                                  # A/B, emits BENCH_warmstart.json
 //	ldmo-bench -exp all               # everything
+//
+// Latency, throughput and per-layer cost are measured by the repository
+// benchmark under bench/ (see bench/README.md), not here.
 //
 // Flags:
 //
@@ -27,7 +22,7 @@
 //	-model PATH    use a predictor trained by ldmo-train instead of
 //	               training one ad hoc (table1/fig7 only need it)
 //	-seed N        seed for all stochastic stages
-//	-out DIR       output directory for fig7 images / BENCH_*.json
+//	-out DIR       output directory for fig7 images / BENCH_factory.json
 //	-workers N     parallel worker lanes (0 = GOMAXPROCS, honoring
 //	               LDMO_WORKERS)
 //	-cpuprofile F  write a CPU profile of the run to F
@@ -53,11 +48,11 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1, fig1b, fig1c, fig7, fig8, ablation, parbench, pipebench, servebench, factorybench, warmbench, all")
+	exp := flag.String("exp", "all", "experiment: table1, fig1b, fig1c, fig7, fig8, ablation, factorybench, all")
 	fast := flag.Bool("fast", false, "coarse raster and reduced training budget")
 	modelPath := flag.String("model", "", "path to a trained predictor (optional)")
 	seed := flag.Int64("seed", 1, "random seed")
-	outDir := flag.String("out", "", "output directory for fig7 images and BENCH_*.json")
+	outDir := flag.String("out", "", "output directory for fig7 images and BENCH_factory.json")
 	workers := flag.Int("workers", 0, "parallel worker lanes (0 = GOMAXPROCS / LDMO_WORKERS)")
 	deadline := flag.Duration("deadline", 0, "abandon remaining work after this wall time, e.g. 30m")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -109,7 +104,7 @@ func main() {
 			run(name)
 			fmt.Println()
 		}
-	case "table1", "fig1b", "fig1c", "fig7", "fig8", "ablation", "parbench", "pipebench", "servebench", "factorybench", "warmbench":
+	case "table1", "fig1b", "fig1c", "fig7", "fig8", "ablation", "factorybench":
 		run(*exp)
 	default:
 		fatalf("unknown experiment %q", *exp)
@@ -166,40 +161,6 @@ func runExperiment(name string, opt experiments.Options, outDir string, w io.Wri
 			return err
 		}
 		a.Render(w)
-	case "pipebench":
-		b, err := experiments.RunPipelineBench(opt)
-		if err != nil {
-			return err
-		}
-		b.Render(w)
-		path := "BENCH_pipeline.json"
-		if outDir != "" {
-			if err := os.MkdirAll(outDir, 0o755); err != nil {
-				return err
-			}
-			path = filepath.Join(outDir, path)
-		}
-		if err := b.WriteJSON(path); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", path)
-	case "servebench":
-		b, err := experiments.RunServeBench(opt)
-		if err != nil {
-			return err
-		}
-		b.Render(w)
-		path := "BENCH_serve.json"
-		if outDir != "" {
-			if err := os.MkdirAll(outDir, 0o755); err != nil {
-				return err
-			}
-			path = filepath.Join(outDir, path)
-		}
-		if err := b.WriteJSON(path); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", path)
 	case "factorybench":
 		b, err := experiments.RunFactoryBench(opt)
 		if err != nil {
@@ -207,40 +168,6 @@ func runExperiment(name string, opt experiments.Options, outDir string, w io.Wri
 		}
 		b.Render(w)
 		path := "BENCH_factory.json"
-		if outDir != "" {
-			if err := os.MkdirAll(outDir, 0o755); err != nil {
-				return err
-			}
-			path = filepath.Join(outDir, path)
-		}
-		if err := b.WriteJSON(path); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", path)
-	case "warmbench":
-		b, err := experiments.RunWarmBench(opt)
-		if err != nil {
-			return err
-		}
-		b.Render(w)
-		path := "BENCH_warmstart.json"
-		if outDir != "" {
-			if err := os.MkdirAll(outDir, 0o755); err != nil {
-				return err
-			}
-			path = filepath.Join(outDir, path)
-		}
-		if err := b.WriteJSON(path); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", path)
-	case "parbench":
-		b, err := experiments.RunParallelBench(opt)
-		if err != nil {
-			return err
-		}
-		b.Render(w)
-		path := "BENCH_parallel.json"
 		if outDir != "" {
 			if err := os.MkdirAll(outDir, 0o755); err != nil {
 				return err

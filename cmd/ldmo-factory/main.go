@@ -10,8 +10,6 @@
 //	ldmo-factory -dir corpus -count 200 -workers 8
 //	ldmo-factory -dir corpus -resume              # continue after any crash
 //	ldmo-factory -dir corpus -inprocess           # goroutine workers, no re-exec
-//	ldmo-factory -dir corpus -warm pairs.gob      # extract warm-start training
-//	                                              # pairs from a built corpus
 //
 // Robustness: every durable write is atomic and the build is crash-only — a
 // SIGKILL'd worker (or supervisor) loses at most in-flight labeling work,
@@ -34,7 +32,6 @@ import (
 
 	"ldmo/internal/factory"
 	"ldmo/internal/layout"
-	"ldmo/internal/model"
 	"ldmo/internal/runx"
 	"ldmo/internal/sampling"
 )
@@ -50,9 +47,6 @@ func main() {
 	fast := flag.Bool("fast", false, "few-iteration ILT labels (smoke-scale corpus)")
 	inprocess := flag.Bool("inprocess", false, "run workers as goroutines instead of processes")
 	workerMode := flag.Bool("worker", false, "internal: run as a factory worker (set by the supervisor)")
-	warmOut := flag.String("warm", "", "extract warm-start training pairs from -dir into this file instead of building")
-	warmPer := flag.Int("warm-per", 0, "decompositions harvested per layout with -warm (0 = 2)")
-	warmSize := flag.Int("warm-size", 0, "warm-pair field edge with -warm (0 = the spec's image size)")
 	quiet := flag.Bool("q", false, "suppress supervision logging")
 	flag.Parse()
 
@@ -71,11 +65,6 @@ func main() {
 
 	if *workerMode {
 		runWorker(ctx, log)
-		return
-	}
-
-	if *warmOut != "" {
-		extractWarm(ctx, *dir, *warmOut, *warmPer, *warmSize, log)
 		return
 	}
 
@@ -131,28 +120,6 @@ func main() {
 		fmt.Printf("poison shard %05d (%s): %d deaths, last: %s\n", i, p.Layout, p.Attempts, p.Reason)
 	}
 	fmt.Printf("manifest: %s\n", rep.ManifestPath)
-}
-
-// extractWarm is the -warm mode: replay the sealed spec's labeling path over
-// an initialized factory directory and publish the (cold mask, optimized
-// field) pairs as a sealed warm-start training dataset.
-func extractWarm(ctx context.Context, dir, out string, per, size int, log *os.File) {
-	var sink io.Writer
-	if log != nil {
-		sink = log
-	}
-	ds, err := factory.ExtractWarmDataset(ctx, dir, sampling.WarmPairConfig{PerLayout: per, Size: size}, sink)
-	if err != nil {
-		if runx.Interrupted(err) {
-			fmt.Fprintf(os.Stderr, "ldmo-factory: warm-pair extraction interrupted\n")
-			os.Exit(130)
-		}
-		fatalf("extract warm pairs: %v", err)
-	}
-	if err := model.SaveWarmDataset(ds, out); err != nil {
-		fatalf("save warm pairs: %v", err)
-	}
-	fmt.Printf("wrote %s: %d warm pairs at %dx%d from %s\n", out, ds.Len(), ds.Size, ds.Size, dir)
 }
 
 // runWorker serves one worker process: the supervisor passes the factory

@@ -7,15 +7,13 @@
 //
 //	ldmo-serve -addr :8347 -dir /var/lib/ldmo/jobs
 //	ldmo-serve -model pred.gob -queue 128 -workers 8
-//	ldmo-serve -model pred.gob -warmstart warm.gob   # jobs may opt into
-//	                                                 # learned ILT warm-start
 //
 // API:
 //
 //	POST /v1/jobs        submit  {"cell":"NAND3_X2"} | {"gen_seed":7} |
 //	                             {"gds_b64":"..."} | {"csv":"..."}
 //	                             + optional "fast", "deadline_ms",
-//	                             "max_attempts", "name", "warm"
+//	                             "max_attempts", "name"
 //	                     -> 202 accepted (job is durably queued)
 //	                     -> 200 cached result (dedupe hit)
 //	                     -> 429 + Retry-After when the queue is full
@@ -53,7 +51,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8347", "listen address")
 	dir := flag.String("dir", "ldmo-jobs", "job store directory")
 	modelPath := flag.String("model", "", "trained predictor file (optional)")
-	warmPath := flag.String("warmstart", "", "trained ILT warm-start net (see ldmo-train -warmstart); applied to jobs submitted with \"warm\":true")
 	queueCap := flag.Int("queue", 64, "admission queue capacity (full queue sheds with 429)")
 	workers := flag.Int("workers", 0, "flow worker lanes (0 = GOMAXPROCS / LDMO_WORKERS)")
 	wave := flag.Int("wave", 0, "max jobs per pipelined wave (0 = max(2, workers))")
@@ -88,16 +85,6 @@ func main() {
 			fatalf("load model: %v", err)
 		}
 		cfg.Scorer = pred
-	}
-	if *warmPath != "" {
-		ws, err := model.LoadWarmStarter(*warmPath)
-		if err != nil {
-			if artifact.Rejected(err) {
-				fatalf("load warm-start net: %v\n  the file is damaged or from an incompatible build — re-export it with ldmo-train -warmstart", err)
-			}
-			fatalf("load warm-start net: %v", err)
-		}
-		cfg.WarmStarter = ws
 	}
 
 	s, err := serve.NewServer(cfg)

@@ -10,16 +10,6 @@
 //	ldmo-train -o pred.gob -random               # random-sampling baseline
 //	ldmo-train -o pred.gob -checkpoint ckpt/     # persist progress; Ctrl-C safe
 //	ldmo-train -o pred.gob -checkpoint ckpt/ -resume
-//	ldmo-train -warmstart -o warm.gob            # ILT warm-start surrogate
-//	ldmo-train -warmstart -warm-data pairs.gob -o warm.gob
-//
-// With -warmstart the command trains the learned ILT mask-initialization
-// net instead of the printability predictor: (cold mask, optimized field)
-// pairs are harvested with the same sampling pipeline (or loaded from a
-// dataset extracted by `ldmo-factory -warm`), and the resulting checkpoint
-// plugs into `ldmo-serve -warmstart`, which applies it to jobs submitted
-// with "warm": true (library code loads it with model.LoadWarmStarter and
-// sets core.Config.WarmStarter).
 //
 // With -checkpoint, labeled-layout shards and the training trajectory are
 // written atomically as they complete; SIGINT/SIGTERM (or -deadline) stops
@@ -57,9 +47,6 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel labeling lanes (0 = GOMAXPROCS / LDMO_WORKERS)")
 	paper := flag.Bool("paper", false, "use the paper's published sampling constants (slow)")
 	random := flag.Bool("random", false, "random-sampling baseline instead of the paper pipeline")
-	warmstart := flag.Bool("warmstart", false, "train the ILT warm-start surrogate instead of the predictor")
-	warmData := flag.String("warm-data", "", "pre-extracted warm-pair dataset (see ldmo-factory -warm); harvests in-process when empty")
-	warmPer := flag.Int("warm-per", 2, "decompositions harvested per layout in -warmstart mode")
 	noAugment := flag.Bool("no-augment", false, "disable dihedral augmentation")
 	ckptDir := flag.String("checkpoint", "", "directory for labeling shards and training state")
 	resume := flag.Bool("resume", false, "continue from an existing -checkpoint directory")
@@ -86,19 +73,6 @@ func main() {
 	var log *os.File
 	if !*quiet {
 		log = os.Stderr
-	}
-
-	if *warmstart {
-		if *ckptDir != "" || *resume || *random || *paper {
-			fatalf("-warmstart does not combine with -checkpoint/-resume/-random/-paper")
-		}
-		trainWarmStarter(ctx, warmOpts{
-			out: *out, data: *warmData, poolSize: *poolSize,
-			clusters: *clusters, perCluster: *perCluster, perLayout: *warmPer,
-			epochs: *epochs, batch: *batch, lr: *lr, seed: *seed,
-			workers: *workers, augment: !*noAugment, log: log,
-		})
-		return
 	}
 
 	var shardDir, trainCkpt string
@@ -193,80 +167,6 @@ func main() {
 		fatalf("save: %v", err)
 	}
 	fmt.Printf("wrote %s (%d parameters)\n", *out, pred.Net.ParamCount())
-}
-
-// warmOpts carries the -warmstart mode's settings.
-type warmOpts struct {
-	out, data                                 string
-	poolSize, clusters, perCluster, perLayout int
-	epochs, batch                             int
-	lr                                        float64
-	seed                                      int64
-	workers                                   int
-	augment                                   bool
-	log                                       *os.File
-}
-
-// trainWarmStarter is the -warmstart mode: harvest (or load) warm pairs,
-// train the mask-initialization surrogate, save its checkpoint.
-func trainWarmStarter(ctx context.Context, o warmOpts) {
-	var ds *model.WarmDataset
-	if o.data != "" {
-		var err error
-		ds, err = model.LoadWarmDataset(o.data)
-		if err != nil {
-			if artifact.Rejected(err) {
-				fatalf("load warm pairs: %v\n  the file is damaged or from an incompatible build — re-extract it with ldmo-factory -warm", err)
-			}
-			fatalf("load warm pairs: %v", err)
-		}
-	} else {
-		pool, err := layout.GenerateSet(o.seed, o.poolSize, layout.DefaultGenParams())
-		if err != nil {
-			fatalf("generate pool: %v", err)
-		}
-		sc := sampling.DefaultConfig()
-		sc.Clusters = o.clusters
-		sc.PerCluster = o.perCluster
-		sc.Seed = o.seed
-		sc.Workers = o.workers
-		selected, err := sampling.SelectLayouts(pool, sc)
-		if err != nil {
-			fatalf("select: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "selected %d representative layouts\n", len(selected))
-		ds, err = sampling.BuildWarmPairsCtx(ctx, selected, sc, sampling.WarmPairConfig{PerLayout: o.perLayout}, o.log)
-		if err != nil {
-			exitInterruptible("harvest warm pairs", err, "")
-		}
-	}
-	fmt.Fprintf(os.Stderr, "harvested %d warm pairs\n", ds.Len())
-	if o.augment {
-		ds = ds.Augmented()
-		fmt.Fprintf(os.Stderr, "augmented to %d pairs\n", ds.Len())
-	}
-
-	wcfg := model.DefaultWarmConfig()
-	wcfg.Seed = o.seed
-	ws, err := model.NewWarmStarter(wcfg)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	wtc := model.DefaultWarmTrainConfig()
-	wtc.Epochs = o.epochs
-	wtc.BatchSize = o.batch
-	wtc.LR = o.lr
-	wtc.Seed = o.seed
-	wtc.Log = o.log
-	hist, err := ws.TrainCtx(ctx, ds, wtc)
-	if err != nil {
-		exitInterruptible("train warm-starter", err, "")
-	}
-	fmt.Fprintf(os.Stderr, "final loss %.6f\n", hist[len(hist)-1])
-	if err := ws.Save(o.out); err != nil {
-		fatalf("save: %v", err)
-	}
-	fmt.Printf("wrote %s (net %.12s)\n", o.out, ws.Digest())
 }
 
 // checkpointExists reports whether a prior run left resumable state behind.

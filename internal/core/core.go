@@ -61,25 +61,6 @@ type Config struct {
 	// deadline, and per-candidate iteration cap. The zero value is
 	// unlimited and adds no overhead to Run.
 	Budget runx.Budget
-	// WarmStarter, when non-nil, seeds every ILT run with a learned
-	// quasi-optimized mask field and enables the convergence-aware early
-	// stop, so saved iterations become saved wall-clock and model-seconds.
-	// Nil keeps the flow bitwise identical to the cold flow.
-	// *model.WarmStarter implements the interface and is safe to share
-	// across concurrent layout runs.
-	WarmStarter ilt.Initializer
-}
-
-// warmed applies the configured warm starter to an ILT config: candidate
-// runs get the initializer plus the convergence early stop. A nil
-// WarmStarter returns cfg untouched.
-func (c Config) warmed(iltCfg ilt.Config) ilt.Config {
-	if c.WarmStarter == nil {
-		return iltCfg
-	}
-	iltCfg.Init = c.WarmStarter
-	iltCfg.ConvergeWindow = ilt.DefaultConvergeWindow
-	return iltCfg
 }
 
 // DefaultConfig returns the paper's flow settings over the calibrated
@@ -304,7 +285,7 @@ func (lr *layoutRun) optimize(ctx context.Context) (Result, error) {
 	order := lr.order
 	res := lr.res
 
-	iltCfg := f.cfg.warmed(f.cfg.ILT)
+	iltCfg := f.cfg.ILT
 	iltCfg.AbortOnViolation = true
 	opt, err := ilt.NewOptimizer(l, iltCfg)
 	if err != nil {
@@ -407,8 +388,7 @@ func (lr *layoutRun) optimize(ctx context.Context) (Result, error) {
 }
 
 // RankCandidates exposes the prediction stage alone: the candidates of l in
-// predicted-best-first order with their scores. Used by the examples and the
-// ablation benches.
+// predicted-best-first order with their scores.
 func (f *Flow) RankCandidates(l layout.Layout) ([]decomp.Decomposition, []float64, error) {
 	gen := decomp.NewGenerator()
 	gen.Classify = f.cfg.Classify
@@ -459,7 +439,7 @@ func OracleSelect(l layout.Layout, cfg Config, alpha, beta, gamma float64) (deco
 	if len(cands) == 0 {
 		return decomp.Decomposition{}, ilt.Result{}, fmt.Errorf("core: no candidates for %q", l.Name)
 	}
-	iltCfg := cfg.warmed(cfg.ILT)
+	iltCfg := cfg.ILT
 	iltCfg.AbortOnViolation = false
 	pool := par.NewPool(cfg.Workers)
 	lanes := min(pool.Size(), len(cands))

@@ -81,14 +81,6 @@ type PipelineStats struct {
 	Wall time.Duration
 }
 
-// Occupancy normalizes a busy duration to [0,1] worker utilization.
-func (st PipelineStats) Occupancy(busy time.Duration) float64 {
-	if st.Wall <= 0 || st.Workers <= 0 {
-		return 0
-	}
-	return busy.Seconds() / (st.Wall.Seconds() * float64(st.Workers))
-}
-
 // pipeSched is the shared state of one RunPipelineCtx invocation.
 type pipeSched struct {
 	f       *Flow

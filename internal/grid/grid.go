@@ -190,18 +190,6 @@ func (g *Grid) mustMatch(h *Grid) {
 // the width ratio; the caller is responsible for keeping aspect ratios sane.
 func (g *Grid) Resample(w, h int) *Grid {
 	out := New(w, h, max(1, g.Res*g.W/w), g.Origin)
-	g.ResampleInto(w, h, out.Data)
-	return out
-}
-
-// ResampleInto is Resample writing the w x h raster into a caller-owned
-// buffer (len(dst) must be w*h), so resampling hot paths — the warm-start
-// net's field scaling — stay allocation-free. The sampling arithmetic is
-// shared with Resample: both produce identical pixels.
-func (g *Grid) ResampleInto(w, h int, dst []float64) {
-	if len(dst) != w*h {
-		panic(fmt.Sprintf("grid: ResampleInto dst length %d != %dx%d", len(dst), w, h))
-	}
 	sx := float64(g.W) / float64(w)
 	sy := float64(g.H) / float64(h)
 	for y := 0; y < h; y++ {
@@ -224,9 +212,10 @@ func (g *Grid) ResampleInto(w, h int, dst []float64) {
 					s += g.Data[yy*g.W+xx]
 				}
 			}
-			dst[y*w+x] = s / float64((gy1-gy0)*(gx1-gx0))
+			out.Data[y*w+x] = s / float64((gy1-gy0)*(gx1-gx0))
 		}
 	}
+	return out
 }
 
 // Rot90 returns g rotated by a quarter turn (clockwise in the y-up raster

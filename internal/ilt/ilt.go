@@ -38,18 +38,6 @@ type Config struct {
 	AbortOnViolation bool
 	// CheckpointSpacing is the EPE checkpoint pitch in nm (paper-style 40).
 	CheckpointSpacing int
-	// Init, when non-nil, supplies a learned warm initial mask field per
-	// decomposition instead of the raw rasterized decomposition (see
-	// Initializer). Nil runs every session cold.
-	Init Initializer
-	// ConvergeWindow enables convergence-aware early stop: at each
-	// violation-check boundary the run halts once the snapshot is perfect
-	// on every verdict metric (zero EPE and print violations — a warm start
-	// frequently begins there), or once the relative L2 improvement over
-	// the trailing ConvergeWindow iterations drops below ConvergeTol with
-	// no print violations outstanding. Zero disables the early stop (full
-	// budget).
-	ConvergeWindow int
 	// Litho is the process model.
 	Litho litho.Params
 	// Meter measures EPE.
@@ -132,14 +120,6 @@ type Result struct {
 	// the rollbacks that did succeed (non-zero on a run that recovered).
 	NumericalFault bool
 	NaNRecoveries  int
-	// WarmStart reports that the run was seeded by a Config.Init warm field
-	// rather than the cold rasterized decomposition.
-	WarmStart bool
-	// Converged reports that the convergence-aware early stop halted the run
-	// before the budget was spent; ConvergeIter is the iteration at which
-	// the plateau was detected.
-	Converged    bool
-	ConvergeIter int
 	// Iters is the number of gradient steps actually performed.
 	Iters int
 	// Trace records per-iteration statistics.
@@ -310,33 +290,15 @@ func (o *Optimizer) RunCtx(ctx context.Context, d decomp.Decomposition) Result {
 			return snap
 		}
 		s.markGood()
-		if s.Remaining() > 0 {
-			// The convergence early stop is disabled unless configured, so
-			// the cold path's snapshot schedule is untouched without it.
-			earlyStop := o.cfg.ConvergeWindow > 0
-			plateau := earlyStop && s.plateaued(o.cfg.ConvergeWindow, ConvergeTol)
-			if o.cfg.AbortOnViolation || track || earlyStop {
-				snap := s.Snapshot()
-				if o.cfg.AbortOnViolation && snap.Violations.Any() {
-					snap.Aborted = true
-					snap.AbortIter = s.Iter()
-					return snap
-				}
-				// Converged means there is nothing left for the flow to gain:
-				// either the snapshot is already perfect on every verdict
-				// metric (zero EPE violations, zero print violations — a warm
-				// start frequently begins here), or the L2 trace has
-				// plateaued into a violation-free state. A plateau alone is
-				// not enough — stopping with violations outstanding would
-				// trade mask quality for iterations.
-				if earlyStop && !snap.Violations.Any() && (snap.EPE.Violations == 0 || plateau) {
-					snap.Converged = true
-					snap.ConvergeIter = s.Iter()
-					return snap
-				}
-				if track {
-					keep(snap)
-				}
+		if s.Remaining() > 0 && (o.cfg.AbortOnViolation || track) {
+			snap := s.Snapshot()
+			if o.cfg.AbortOnViolation && snap.Violations.Any() {
+				snap.Aborted = true
+				snap.AbortIter = s.Iter()
+				return snap
+			}
+			if track {
+				keep(snap)
 			}
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"ldmo/internal/faultinject"
 	"ldmo/internal/grid"
 	"ldmo/internal/litho"
-	"ldmo/internal/simclock"
 )
 
 // Session is an incremental ILT run: the optimizer state of one
@@ -67,12 +66,6 @@ type Session struct {
 	stepScale    float64
 	nanRetries   int
 	fault        bool
-
-	// Warm-start state: warm holds the initializer's predicted fields
-	// (lazily allocated on first warm reset, reused after); warmed records
-	// that the current run was seeded from them.
-	warm   [2][]float64
-	warmed bool
 }
 
 // maxNaNRetries bounds rollback-and-halve recovery attempts per run; a run
@@ -112,8 +105,8 @@ func (o *Optimizer) NewSession(d interface {
 // reset re-derives the session's optimizer state for decomposition d without
 // allocating: every buffer of the session is reused, so a recycled session is
 // exactly as cheap as restarting on warm memory. The resulting state is
-// bitwise-identical to a freshly constructed session's — the initializer is a
-// pure function of d and the optimizer config.
+// bitwise-identical to a freshly constructed session's — the start is a pure
+// function of d and the optimizer config.
 func (s *Session) reset(d interface {
 	Masks(res int) (*grid.Grid, *grid.Grid)
 }) {
@@ -133,34 +126,7 @@ func (s *Session) reset(d interface {
 	s.nanRetries = 0
 	s.fault = false
 	masks := [2][]float64{m1g.Data, m2g.Data}
-	s.warmed = false
-	if o.cfg.Init != nil {
-		if s.warm[0] == nil {
-			s.warm[0] = make([]float64, len(masks[0]))
-			s.warm[1] = make([]float64, len(masks[1]))
-		}
-		if o.cfg.Init.WarmMasksInto(m1g, m2g, s.warm[0], s.warm[1]) {
-			masks = s.warm
-			s.warmed = true
-			if o.clock != nil {
-				// The warm prediction is one CNN inference in the
-				// deterministic cost model; the iterations it saves are
-				// charged (or rather, not charged) by the simulator.
-				o.clock.Charge(simclock.CostCNNInference, 1)
-			}
-		}
-	}
-	// A warm continuous field keeps its saturation depth through the wider
-	// warmClip band; the binary cold raster still gets InitClip's protection
-	// from the sigmoid's dead tails. The step size is tuned for the cold
-	// transient — from a near-optimal warm start the full step overshoots
-	// and oscillates away the head start, so warmed sessions descend at
-	// half scale (the NaN-recovery halving stacks on top as usual).
 	clip := o.cfg.InitClip
-	if s.warmed {
-		clip = warmClip
-		s.stepScale = 0.5
-	}
 	for i := 0; i < 2; i++ {
 		// s.m[i] doubles as the clamp scratch; forward overwrites it anyway.
 		for j, v := range masks[i] {
@@ -320,23 +286,6 @@ func (s *Session) divergePoint() {
 // Remaining returns the unused iteration budget.
 func (s *Session) Remaining() int { return s.o.cfg.MaxIters - s.iter }
 
-// plateaued reports whether the relative L2 improvement over the trailing
-// window iterations of the trace has dropped below tol — the convergence
-// signal behind the warm-start early stop. It is a pure read of the trace:
-// no forward pass, no cost-model charge.
-func (s *Session) plateaued(window int, tol float64) bool {
-	n := len(s.trace)
-	if n <= window {
-		return false
-	}
-	first := s.trace[n-1-window].L2
-	last := s.trace[n-1].L2
-	if first <= 0 {
-		return true // already at (or below) zero loss: nothing left to gain
-	}
-	return (first-last)/first < tol
-}
-
 // Snapshot evaluates the current masks and returns the full printability
 // measurement without advancing the iteration counter. Its forward pass is
 // the one the next Step iteration starts from, so a check between chunks
@@ -345,7 +294,7 @@ func (s *Session) Snapshot() Result {
 	if !s.current {
 		s.forward()
 	}
-	res := Result{Iters: s.iter, NaNRecoveries: s.nanRetries, WarmStart: s.warmed, Trace: append([]IterStat(nil), s.trace...)}
+	res := Result{Iters: s.iter, NaNRecoveries: s.nanRetries, Trace: append([]IterStat(nil), s.trace...)}
 	res.L2 = s.composed.L2Diff(s.o.target)
 	res.EPE = s.o.cfg.Meter.Measure(s.composed, s.o.cps)
 	res.Violations = epe.CheckPrintViolations(s.composed, s.o.layout.Patterns, s.o.cfg.Litho.PrintThreshold)

@@ -345,7 +345,7 @@ const (
 // (after nn's, which this package imports), so sealed payload bytes are a
 // pure function of the encoded state.
 func init() {
-	artifact.StabilizeGob(Config{}, ScoreNorm{}, trainCheckpoint{}, WarmConfig{}, WarmDataset{})
+	artifact.StabilizeGob(Config{}, ScoreNorm{}, trainCheckpoint{})
 }
 
 // Save writes architecture, normalization and weights to path inside a

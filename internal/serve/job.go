@@ -34,6 +34,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"time"
 
 	"ldmo/internal/core"
 	"ldmo/internal/gds"
@@ -69,12 +70,11 @@ type JobSpec struct {
 	// MaxAttempts bounds how many decomposition candidates are tried before
 	// the forced best-effort run; 0 means all.
 	MaxAttempts int `json:"max_attempts,omitempty"`
-	// Warm opts the job into learned ILT warm-starting when the server was
-	// started with a warm-start net.
-	// Part of the content hash: a warm job and a cold job are different jobs
-	// with separately cached results.
-	Warm bool `json:"warm,omitempty"`
 }
+
+// maxDeadlineMS is the largest deadline_ms whose wall budget a
+// time.Duration (int64 nanoseconds) can hold.
+const maxDeadlineMS = math.MaxInt64 / int64(time.Millisecond)
 
 // Validate rejects specs with zero or several layout sources or out-of-range
 // options, without materializing the layout.
@@ -101,7 +101,15 @@ func (s JobSpec) Validate() error {
 	if s.DeadlineMS < 0 || s.MaxAttempts < 0 {
 		return fmt.Errorf("deadline_ms and max_attempts must be >= 0")
 	}
+	if int64(s.DeadlineMS) > maxDeadlineMS {
+		return fmt.Errorf("deadline_ms must be <= %d", maxDeadlineMS)
+	}
 	return nil
+}
+
+// deadline is the job's wall budget; 0 defers to the server's default.
+func (s JobSpec) deadline() time.Duration {
+	return time.Duration(s.DeadlineMS) * time.Millisecond
 }
 
 // Layout materializes the job's target layout. Deterministic: the same spec
@@ -174,7 +182,7 @@ func (s JobSpec) canonicalJSON() []byte {
 // groupKey buckets specs whose jobs can share one pipelined flow invocation:
 // everything that feeds core.Config must match.
 func (s JobSpec) groupKey() string {
-	return fmt.Sprintf("fast=%v deadline=%d attempts=%d warm=%v", s.Fast, s.DeadlineMS, s.MaxAttempts, s.Warm)
+	return fmt.Sprintf("fast=%v deadline=%d attempts=%d", s.Fast, s.DeadlineMS, s.MaxAttempts)
 }
 
 // Status is a job's lifecycle state.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 
 	"ldmo/internal/gds"
 	"ldmo/internal/layout"
@@ -23,7 +24,7 @@ func TestJobIDIgnoresNonCSVName(t *testing.T) {
 	}
 	seed := int64(7)
 	gdsB64 := seedGDS(t)
-	srv, _ := newTestServer(t, func(c *Config) { c.WarmStarter = &fakeWarm{digest: "aaaa"} })
+	srv, _ := newTestServer(t, func(c *Config) { c.Scorer = fakeDigestScorer{digest: "aaaa"} })
 	for _, spec := range []JobSpec{plain, {GenSeed: &seed, Fast: true}, {GDSB64: gdsB64}} {
 		named := spec
 		named.Name = "relabelled"
@@ -71,7 +72,7 @@ func TestJobIDCanonicalizesGDSBase64(t *testing.T) {
 		t.Fatalf("canonical GDS spec ID drifted: %s", got)
 	}
 	gdsB64 := seedGDS(t)
-	srv, _ := newTestServer(t, func(c *Config) { c.WarmStarter = &fakeWarm{digest: "aaaa"} })
+	srv, _ := newTestServer(t, func(c *Config) { c.Scorer = fakeDigestScorer{digest: "aaaa"} })
 	for _, pair := range [][2]JobSpec{
 		{canon, {GDSB64: "QR=="}},
 		{{GDSB64: gdsB64}, {GDSB64: gdsB64[:10] + "\n" + gdsB64[10:]}},
@@ -113,7 +114,8 @@ func gdsRespellings(b64 string, at int) []string {
 }
 
 // FuzzJobSpec drives arbitrary bytes through the JSON decode and Validate
-// the submit handler runs, which must never panic. A spec that validates keeps its ID
+// the submit handler runs, which must never panic. A spec that validates has
+// a deadline_ms that converts to a wall budget without overflow, keeps its ID
 // across a JSON round trip, when a non-CSV source is relabelled, and when
 // its GDS upload is respelled (line breaks, padding bits), and gets a new
 // ID when any field that reaches Layout() or the flow configuration
@@ -126,10 +128,14 @@ func FuzzJobSpec(f *testing.F) {
 	f.Add([]byte(`{"csv":"# window 0 0 400 400\n100,100,165,165\n","name":"c"}`))
 	f.Add([]byte(`{"csv":"100,100,165,165\n","cell":"INV_X1"}`))
 	f.Add([]byte(`{"gds_b64":"QR==\n","fast":true}`))
+	f.Add([]byte(`{"cell":"INV_X1","deadline_ms":9223372036854}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var spec JobSpec
 		if json.NewDecoder(bytes.NewReader(data)).Decode(&spec) != nil || spec.Validate() != nil {
 			return
+		}
+		if d := spec.deadline(); d < 0 || d/time.Millisecond != time.Duration(spec.DeadlineMS) {
+			t.Fatalf("deadline_ms %d of %q converts to a wall budget of %v", spec.DeadlineMS, data, d)
 		}
 		id := spec.ID()
 		b, err := json.Marshal(spec)
@@ -163,7 +169,6 @@ func FuzzJobSpec(f *testing.F) {
 			"fast":         func(s *JobSpec) { s.Fast = !s.Fast },
 			"deadline_ms":  func(s *JobSpec) { s.DeadlineMS++ },
 			"max_attempts": func(s *JobSpec) { s.MaxAttempts++ },
-			"warm":         func(s *JobSpec) { s.Warm = !s.Warm },
 		}
 		switch {
 		case spec.Cell != "":

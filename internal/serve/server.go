@@ -12,13 +12,11 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"ldmo/internal/core"
-	"ldmo/internal/ilt"
 	"ldmo/internal/layout"
 	"ldmo/internal/litho"
 	"ldmo/internal/par"
@@ -49,9 +47,6 @@ type Config struct {
 	// Scorer is the optional trained predictor; nil degrades every job to
 	// generator candidate order (the no-predictor ablation).
 	Scorer core.Scorer
-	// WarmStarter is the optional learned ILT warm-start net, applied to jobs
-	// that set spec.Warm. nil runs every job cold regardless of the spec.
-	WarmStarter ilt.Initializer
 	// RetryAfter is the hint sent with 429 responses; <=0 selects 1s.
 	RetryAfter time.Duration
 	// Log receives operational messages when non-nil.
@@ -555,22 +550,18 @@ func (s *Server) flowConfig(spec JobSpec) core.Config {
 	cfg.MaxAttempts = spec.MaxAttempts
 	cfg.Workers = s.cfg.Workers
 	cfg.Budget = s.cfg.Budget
-	if spec.DeadlineMS > 0 {
-		cfg.Budget.Wall = time.Duration(spec.DeadlineMS) * time.Millisecond
-	}
-	if spec.Warm {
-		cfg.WarmStarter = s.cfg.WarmStarter
+	if d := spec.deadline(); d > 0 {
+		cfg.Budget.Wall = d
 	}
 	return cfg
 }
 
 // jobID derives the dedupe identifier for a spec under THIS server's engine:
-// the spec's content hash plus — when the server carries learned components
-// that expose a checkpoint digest — those digests. Retraining the predictor
-// or the warm-start net then invalidates the dedupe cache instead of serving
-// results computed by a stale engine; a server with no digestable components
-// keeps the plain spec.ID(), so job IDs (and on-disk stores) from before the
-// provenance mechanism stay valid.
+// the spec's content hash plus — when the server's predictor exposes a
+// checkpoint digest — that digest. Retraining the predictor then invalidates
+// the dedupe cache instead of serving results computed by a stale engine; a
+// server without a digestable predictor keeps the plain spec.ID(), so job
+// IDs (and on-disk stores) from before the provenance mechanism stay valid.
 func (s *Server) jobID(spec JobSpec) string {
 	fp := s.fingerprint()
 	if fp == "" {
@@ -583,19 +574,14 @@ func (s *Server) jobID(spec JobSpec) string {
 	return "j-" + hex.EncodeToString(h.Sum(nil)[:8])
 }
 
-// fingerprint is the engine provenance string: the checkpoint digests of
-// whichever learned components this server carries. Components that do not
-// expose a Digest (test fakes, ablation stubs) contribute nothing.
+// fingerprint is the engine provenance string: the predictor's checkpoint
+// digest. A scorer that does not expose a Digest (test fakes, ablation
+// stubs) contributes nothing.
 func (s *Server) fingerprint() string {
-	type digester interface{ Digest() string }
-	var parts []string
-	if d, ok := s.cfg.Scorer.(digester); ok {
-		parts = append(parts, "scorer="+d.Digest())
+	if d, ok := s.cfg.Scorer.(interface{ Digest() string }); ok {
+		return "scorer=" + d.Digest()
 	}
-	if d, ok := s.cfg.WarmStarter.(digester); ok {
-		parts = append(parts, "warm="+d.Digest())
-	}
-	return strings.Join(parts, " ")
+	return ""
 }
 
 // transientScorer marks a scorer fallback treated as transient: the

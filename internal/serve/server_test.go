@@ -302,6 +302,11 @@ func TestSubmitRejectsMalformedSpecs(t *testing.T) {
 		`{"gen_seed":-5}`,              // invalid seed
 		`{"gds_b64":"%%%"}`,            // undecodable upload
 		`{"cell":"NO_SUCH_CELL"}`,      // unknown library cell
+		`{"cell":"INV_X1","deadline_ms":-1}`,
+		// Deadlines whose nanoseconds overflow int64: one would wrap to a
+		// 448 µs budget, the other to a negative (unlimited) one.
+		`{"cell":"INV_X1","deadline_ms":18446744073710}`,
+		`{"cell":"INV_X1","deadline_ms":9223372036855}`,
 	} {
 		if code, _, _ := submit(t, ts, "a", body); code != http.StatusBadRequest {
 			t.Errorf("submit %q: %d, want 400", body, code)

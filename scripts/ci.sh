@@ -5,7 +5,10 @@
 # reading one shared frozen weight set and the pooled GEMM scratch), and
 # short fuzz smokes on the GDS and CSV readers, the artifact envelope and the
 # serve job-spec decode and content hash so hostile-input regressions surface
-# before a long fuzz campaign would find them.
+# before a long fuzz campaign would find them. The repository benchmark
+# module under bench/ imports the flow, ILT, litho, FFT, serve, model and
+# sampling packages, so it is vetted and tested here too: an API change that
+# would break bench/run.sh fails CI instead.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -16,6 +19,7 @@ git diff --exit-code
 go vet ./...
 go build ./...
 go test -timeout 300s -shuffle=on ./...
+(cd bench && go vet ./... && go test ./...)
 go test -timeout 600s -race ./internal/ilt ./internal/litho ./internal/fft ./internal/core ./internal/par ./internal/sampling ./internal/runx ./internal/faultinject ./internal/artifact ./internal/tensor ./internal/nn ./internal/model ./internal/serve ./internal/factory
 go test -run='^$' -fuzz='^FuzzReadGDS$' -fuzztime=10s ./internal/gds
 go test -run='^$' -fuzz='^FuzzReadCSV$' -fuzztime=10s ./internal/layout
@@ -44,6 +48,9 @@ go test -run='^$' -bench='^BenchmarkGEMM' -benchtime=100x ./internal/tensor
 # non-amd64 hosts — so that fallback cannot rot; the nn and model suites hold
 # it to the same predictor score golden as the vector engine. The artifact
 # reader rides along: 32-bit ints are where a length claim overflows a slice.
+# TestFlowMaskBitsGolden keys the whole flow's mask bits by engine; the
+# default suite runs the FMA key, the GODEBUG line the SSE-exp key and the
+# 386 leg the pure-Go key.
 go vet ./internal/fft
 go vet ./internal/litho
 go vet ./internal/tensor
@@ -51,24 +58,10 @@ go test -run='^$' -fuzz='^FuzzVecEquivalence$' -fuzztime=10s ./internal/fft
 go test -run='^$' -fuzz='^FuzzSigmoid$' -fuzztime=10s ./internal/litho
 go test -run='^$' -fuzz='^FuzzGEMM$' -fuzztime=10s ./internal/tensor
 GODEBUG=cpu.fma=off go test -timeout 300s ./internal/litho
+GODEBUG=cpu.fma=off go test -timeout 300s -run FlowMaskBitsGolden ./internal/core
 GOARCH=386 go test -timeout 300s ./internal/fft ./internal/tensor ./internal/nn ./internal/model ./internal/litho ./internal/ilt ./internal/core ./internal/artifact
 tmpout="$(mktemp -d)"
 trap 'rm -rf "$tmpout"' EXIT
-
-# Pipeline gates: the bitwise serial==pipelined golden, the coalescer, and the
-# mid-pipeline cancellation/fault-injection drains already run under -race via
-# ./internal/core ./internal/par above, and the alloc line asserts the
-# coalescing queue and shared prediction buffers add zero steady-state
-# allocations; here the quick stage-at-a-time vs pipelined A/B bench
-# cross-checks identity end to end and records the coalescing factor.
-go run ./cmd/ldmo-bench -exp pipebench -fast -deadline 120s -out "$tmpout"
-
-# Serving gates: the httptest endpoint smoke (submit -> poll -> result, 429
-# shed, dedupe) and both crash drills — including a real SIGKILL'd daemon —
-# run under -race via ./internal/serve above; the quick service bench drives
-# a multi-client overload burst and records latency percentiles, throughput,
-# and shed rate to BENCH_serve.json.
-go run ./cmd/ldmo-bench -exp servebench -fast -deadline 120s -out "$tmpout"
 
 # Factory gates: lease claiming, reclaim, hung-worker kill, poison quarantine,
 # and both re-exec'd chaos drills (SIGKILL mid-build converging byte-identical
@@ -76,11 +69,3 @@ go run ./cmd/ldmo-bench -exp servebench -fast -deadline 120s -out "$tmpout"
 # quick bench repeats the chaos drill in-process, measures scaling, reclaim and
 # resume cost, and fails if the chaos manifest diverges from the serial one.
 go run ./cmd/ldmo-bench -exp factorybench -fast -deadline 180s -out "$tmpout"
-
-# Warm-start gates. The zero-alloc line proves warm inference stays
-# allocation-free in steady state (the WarmMasksInto gate also runs inside
-# the SteadyStateAllocs sweep above), and the quick warmbench smoke trains a
-# small surrogate and compares cold and warm ILT end to end, writing
-# BENCH_warmstart.json outside the tree.
-go test -timeout 120s -run='WarmMasksIntoSteadyStateAllocs' ./internal/model
-go run ./cmd/ldmo-bench -exp warmbench -fast -deadline 600s -out "$tmpout"
