@@ -9,8 +9,6 @@
 //	ldmo-bench -exp fig7 -out figs/   # printed-image comparison + PGM dumps
 //	ldmo-bench -exp fig8              # sampling-strategy comparison
 //	ldmo-bench -exp ablation          # selection-policy ablation
-//	ldmo-bench -exp factorybench      # dataset-factory scaling + chaos
-//	                                  # drill, emits BENCH_factory.json
 //	ldmo-bench -exp all               # everything
 //
 // Latency, throughput and per-layer cost are measured by the repository
@@ -22,7 +20,7 @@
 //	-model PATH    use a predictor trained by ldmo-train instead of
 //	               training one ad hoc (table1/fig7 only need it)
 //	-seed N        seed for all stochastic stages
-//	-out DIR       output directory for fig7 images / BENCH_factory.json
+//	-out DIR       output directory for fig7 PGM images
 //	-workers N     parallel worker lanes (0 = GOMAXPROCS, honoring
 //	               LDMO_WORKERS)
 //	-cpuprofile F  write a CPU profile of the run to F
@@ -37,7 +35,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 
 	"ldmo/internal/artifact"
@@ -48,11 +45,11 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1, fig1b, fig1c, fig7, fig8, ablation, factorybench, all")
+	exp := flag.String("exp", "all", "experiment: table1, fig1b, fig1c, fig7, fig8, ablation, all")
 	fast := flag.Bool("fast", false, "coarse raster and reduced training budget")
 	modelPath := flag.String("model", "", "path to a trained predictor (optional)")
 	seed := flag.Int64("seed", 1, "random seed")
-	outDir := flag.String("out", "", "output directory for fig7 images and BENCH_factory.json")
+	outDir := flag.String("out", "", "output directory for fig7 PGM images")
 	workers := flag.Int("workers", 0, "parallel worker lanes (0 = GOMAXPROCS / LDMO_WORKERS)")
 	deadline := flag.Duration("deadline", 0, "abandon remaining work after this wall time, e.g. 30m")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -104,7 +101,7 @@ func main() {
 			run(name)
 			fmt.Println()
 		}
-	case "table1", "fig1b", "fig1c", "fig7", "fig8", "ablation", "factorybench":
+	case "table1", "fig1b", "fig1c", "fig7", "fig8", "ablation":
 		run(*exp)
 	default:
 		fatalf("unknown experiment %q", *exp)
@@ -161,23 +158,6 @@ func runExperiment(name string, opt experiments.Options, outDir string, w io.Wri
 			return err
 		}
 		a.Render(w)
-	case "factorybench":
-		b, err := experiments.RunFactoryBench(opt)
-		if err != nil {
-			return err
-		}
-		b.Render(w)
-		path := "BENCH_factory.json"
-		if outDir != "" {
-			if err := os.MkdirAll(outDir, 0o755); err != nil {
-				return err
-			}
-			path = filepath.Join(outDir, path)
-		}
-		if err := b.WriteJSON(path); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", path)
 	}
 	return nil
 }

@@ -10,7 +10,6 @@
 //	ldmo -model pred.gob -cell DFF_X1    # use a trained predictor
 //	ldmo -cell BUF_X1 -out out/          # dump PGM images of masks/print
 //	ldmo -cell BUF_X1 -fast              # coarse 8nm raster
-//	ldmo -cell BUF_X1 -pw                # process-window analysis
 //	ldmo -file my.gds                    # run a layout from a GDSII/CSV file
 package main
 
@@ -31,7 +30,6 @@ import (
 	"ldmo/internal/gds"
 	"ldmo/internal/layout"
 	"ldmo/internal/model"
-	"ldmo/internal/pw"
 )
 
 func main() {
@@ -41,7 +39,6 @@ func main() {
 	modelPath := flag.String("model", "", "trained predictor file (optional)")
 	outDir := flag.String("out", "", "directory for PGM image dumps (optional)")
 	fast := flag.Bool("fast", false, "coarse 8nm raster")
-	procWin := flag.Bool("pw", false, "evaluate the optimized masks across process corners")
 	deadline := flag.Duration("deadline", 0, "return the best result found after this wall time, e.g. 90s")
 	candDeadline := flag.Duration("cand-deadline", 0, "per-candidate ILT wall budget before falling through")
 	flag.Parse()
@@ -118,20 +115,6 @@ func main() {
 		res.ILT.Violations.Bridges, res.ILT.Violations.Missing, res.ILT.Violations.Extra)
 	fmt.Printf("model time    %.1fs (DS %.1fs, MO %.1fs)\n",
 		res.Seconds, res.Clock.PhaseSeconds(core.PhaseDS), res.Clock.PhaseSeconds(core.PhaseMO))
-
-	if *procWin {
-		an, err := pw.NewAnalyzer(l, cfg.ILT.Litho, nil)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		rep := an.Analyze(res.ILT.M1, res.ILT.M2)
-		fmt.Println("process window:")
-		for _, c := range rep.Corners {
-			fmt.Printf("  %-10s EPE %2d  L2 %8.1f  violations %d\n",
-				c.Corner.Name, c.EPE.Violations, c.L2, c.Violations.Total())
-		}
-		fmt.Printf("  PV band area %d px (worst-corner EPE %d)\n", rep.PVBandArea, rep.WorstEPE())
-	}
 
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {

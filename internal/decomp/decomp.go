@@ -64,18 +64,6 @@ func (d Decomposition) String() string {
 	return fmt.Sprintf("%s[%s]", d.Layout.Name, d.Key())
 }
 
-// MaskPatterns returns the pattern rectangles assigned to each mask.
-func (d Decomposition) MaskPatterns() (m1, m2 []geom.Rect) {
-	for i, r := range d.Layout.Patterns {
-		if d.Assign[i] == 0 {
-			m1 = append(m1, r)
-		} else {
-			m2 = append(m2, r)
-		}
-	}
-	return m1, m2
-}
-
 // Masks rasterizes the two mask target images at res nm/pixel over the
 // layout window.
 func (d Decomposition) Masks(res int) (m1, m2 *grid.Grid) {

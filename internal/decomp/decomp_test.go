@@ -76,18 +76,6 @@ func TestCanonicalizeIdempotentQuick(t *testing.T) {
 	}
 }
 
-func TestMaskPatternsPartition(t *testing.T) {
-	l := pairLayout()
-	d := New(l, []uint8{0, 1})
-	m1, m2 := d.MaskPatterns()
-	if len(m1) != 1 || len(m2) != 1 {
-		t.Fatalf("partition = %d/%d", len(m1), len(m2))
-	}
-	if m1[0] != l.Patterns[0] || m2[0] != l.Patterns[1] {
-		t.Fatal("wrong patterns per mask")
-	}
-}
-
 func TestMasksRasterize(t *testing.T) {
 	d := New(pairLayout(), []uint8{0, 1})
 	m1, m2 := d.Masks(4)

@@ -148,10 +148,6 @@ func (m Meter) edgeOffset(t *grid.Grid, cp Checkpoint) float64 {
 	return m.SearchRange
 }
 
-// L2Error returns the squared L2 difference between the printed image and
-// the binary target image (paper Definition 2).
-func L2Error(printed, target *grid.Grid) float64 { return printed.L2Diff(target) }
-
 // Violations describes lithographic print failures detected on a binarized
 // printed image: components bridging several target patterns, targets that
 // did not print, and printed blobs touching no target at all.

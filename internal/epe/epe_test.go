@@ -165,15 +165,6 @@ func TestEndToEndEPEOnSimulatedContact(t *testing.T) {
 	}
 }
 
-func TestL2Error(t *testing.T) {
-	a := grid.New(4, 4, 1, geom.Point{})
-	b := grid.New(4, 4, 1, geom.Point{})
-	b.Data[0] = 1
-	if L2Error(a, b) != 1 {
-		t.Fatal("L2Error wrong")
-	}
-}
-
 func TestCheckPrintViolationsClean(t *testing.T) {
 	g := grid.New(64, 64, 4, geom.Point{})
 	targets := []geom.Rect{geom.RectWH(20, 20, 60, 60), geom.RectWH(150, 150, 60, 60)}

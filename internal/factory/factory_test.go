@@ -242,8 +242,9 @@ func TestFactoryPoisonQuarantine(t *testing.T) {
 
 // TestFactoryResume: a build cancelled mid-flight resumes from the leases
 // and shards on disk and converges to the same manifest as the serial
-// reference; an initialized directory is refused without Resume, and a
-// resume with a different spec is refused too.
+// reference; an initialized directory is refused without Resume, a resume
+// with a different spec is refused too, and resuming the now-complete
+// directory leaves its manifest and shards byte for byte unchanged.
 func TestFactoryResume(t *testing.T) {
 	spec := testSpec(t, 3)
 	serialDir := t.TempDir()
@@ -258,8 +259,8 @@ func TestFactoryResume(t *testing.T) {
 	_, err := Build(ctx, cfg)
 	cancel()
 	if err == nil {
-		// The whole corpus finished inside the timeout; the resume below
-		// still exercises the resume-over-complete path.
+		// The whole corpus finished inside the timeout, so the first
+		// resume below already runs over a complete directory.
 		t.Log("build completed before the interrupt landed")
 	}
 
@@ -282,6 +283,17 @@ func TestFactoryResume(t *testing.T) {
 	}
 	if rep.Sealed != 3 || len(rep.Poisoned) != 0 {
 		t.Fatalf("resume incomplete: %+v", rep)
+	}
+	requireManifestIdentical(t, dir, serialDir, 3)
+
+	// Resuming a complete directory only verifies the shards and republishes
+	// the manifest: the bytes must not move.
+	rep, err = Build(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("resume over a complete directory failed: %v", err)
+	}
+	if rep.Sealed != 3 || len(rep.Poisoned) != 0 {
+		t.Fatalf("resume over a complete directory: %+v", rep)
 	}
 	requireManifestIdentical(t, dir, serialDir, 3)
 }

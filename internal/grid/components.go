@@ -37,13 +37,3 @@ func (g *Grid) Components() (labels []int, n int) {
 	}
 	return labels, n
 }
-
-// ComponentSizes returns the pixel count of each component label produced by
-// Components; index 0 is the background count.
-func ComponentSizes(labels []int, n int) []int {
-	sizes := make([]int, n+1)
-	for _, l := range labels {
-		sizes[l]++
-	}
-	return sizes
-}

@@ -151,34 +151,6 @@ func (g *Grid) L2Diff(h *Grid) float64 {
 	return s
 }
 
-// Add accumulates h into g element-wise and returns g.
-func (g *Grid) Add(h *Grid) *Grid {
-	g.mustMatch(h)
-	for i := range g.Data {
-		g.Data[i] += h.Data[i]
-	}
-	return g
-}
-
-// Scale multiplies every pixel by k and returns g.
-func (g *Grid) Scale(k float64) *Grid {
-	for i := range g.Data {
-		g.Data[i] *= k
-	}
-	return g
-}
-
-// ClampMax caps every pixel at hi and returns g. The paper's double-pattern
-// composition T = min(T1+T2, 1) is Add followed by ClampMax(1).
-func (g *Grid) ClampMax(hi float64) *Grid {
-	for i, v := range g.Data {
-		if v > hi {
-			g.Data[i] = hi
-		}
-	}
-	return g
-}
-
 func (g *Grid) mustMatch(h *Grid) {
 	if g.W != h.W || g.H != h.H {
 		panic(fmt.Sprintf("grid: shape mismatch %dx%d vs %dx%d", g.W, g.H, h.W, h.H))

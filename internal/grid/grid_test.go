@@ -113,23 +113,6 @@ func TestL2DiffPanicsOnShapeMismatch(t *testing.T) {
 	New(2, 2, 1, geom.Point{}).L2Diff(New(3, 2, 1, geom.Point{}))
 }
 
-func TestAddScaleClamp(t *testing.T) {
-	g := New(3, 1, 1, geom.Point{})
-	copy(g.Data, []float64{0.2, 0.6, 0.9})
-	h := g.Clone()
-	g.Add(h).ClampMax(1)
-	want := []float64{0.4, 1, 1}
-	for i := range want {
-		if math.Abs(g.Data[i]-want[i]) > 1e-12 {
-			t.Fatalf("add+clamp[%d] = %g want %g", i, g.Data[i], want[i])
-		}
-	}
-	g.Scale(0.5)
-	if g.Data[1] != 0.5 {
-		t.Fatalf("scale = %g", g.Data[1])
-	}
-}
-
 func TestResampleDownAveragePreservesMean(t *testing.T) {
 	g := New(8, 8, 1, geom.Point{})
 	for i := range g.Data {
@@ -196,16 +179,6 @@ func TestComponentsDiagonalNotConnected(t *testing.T) {
 	_, n := g.Components()
 	if n != 2 {
 		t.Fatalf("4-connectivity violated: n=%d", n)
-	}
-}
-
-func TestComponentSizes(t *testing.T) {
-	g := New(6, 6, 1, geom.Point{})
-	g.FillRect(geom.RectWH(0, 0, 2, 2), 1)
-	labels, n := g.Components()
-	sizes := ComponentSizes(labels, n)
-	if n != 1 || sizes[1] != 4 || sizes[0] != 32 {
-		t.Fatalf("sizes = %v n=%d", sizes, n)
 	}
 }
 

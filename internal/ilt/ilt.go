@@ -207,9 +207,6 @@ func (o *Optimizer) SetMaxIters(n int) {
 	o.cfg.MaxIters = n
 }
 
-// Target returns the rasterized target image (shared; do not mutate).
-func (o *Optimizer) Target() *grid.Grid { return o.target }
-
 // session acquires an initialized session for d: the recycled spare when one
 // is available, a fresh allocation otherwise. A Result shares no memory with
 // the session that produced it (Snapshot copies masks and trace), so RunCtx

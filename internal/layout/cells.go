@@ -2,7 +2,6 @@ package layout
 
 import (
 	"fmt"
-	"sort"
 
 	"ldmo/internal/geom"
 )
@@ -104,12 +103,5 @@ func CellNames() []string {
 	for i, def := range cellDefs {
 		out[i] = def.name
 	}
-	return out
-}
-
-// SortedCellNames returns the library cell names sorted alphabetically.
-func SortedCellNames() []string {
-	out := CellNames()
-	sort.Strings(out)
 	return out
 }

@@ -19,14 +19,15 @@ import (
 	"math/rand"
 )
 
-// Array is a covering array over q-valued factors (q = 2 for the paper's
-// double-patterning case).
+// Array is a binary covering array.
 type Array struct {
 	Factors  int
 	Strength int
-	Q        int
 	Rows     [][]uint8
 }
+
+// q is the alphabet size: two masks, so every factor is binary.
+const q = 2
 
 // candidates per row; more candidates give slightly smaller arrays at
 // linearly higher construction cost.
@@ -36,22 +37,13 @@ const numCandidates = 30
 // factors, deterministically in seed. When factors <= strength the array is
 // the full Cartesian product. factors may be 0 (a single empty row).
 func Generate(factors, strength int, seed int64) (Array, error) {
-	return GenerateQ(factors, strength, 2, seed)
-}
-
-// GenerateQ builds a strength-`strength` covering array over `factors`
-// q-valued factors (2 <= q <= 4; q = 3 serves triple patterning).
-func GenerateQ(factors, strength, q int, seed int64) (Array, error) {
 	if factors < 0 {
 		return Array{}, fmt.Errorf("nwise: negative factor count %d", factors)
 	}
 	if strength < 1 {
 		return Array{}, fmt.Errorf("nwise: strength must be >= 1, got %d", strength)
 	}
-	if q < 2 || q > 4 {
-		return Array{}, fmt.Errorf("nwise: alphabet size %d outside [2,4]", q)
-	}
-	a := Array{Factors: factors, Strength: strength, Q: q}
+	a := Array{Factors: factors, Strength: strength}
 	if factors == 0 {
 		a.Rows = [][]uint8{{}}
 		return a, nil
@@ -74,7 +66,7 @@ func GenerateQ(factors, strength, q int, seed int64) (Array, error) {
 		return a, nil
 	}
 
-	cov := newCoverage(factors, strength, q)
+	cov := newCoverage(factors, strength)
 	rng := rand.New(rand.NewSource(seed))
 	for cov.remaining > 0 {
 		var best []uint8
@@ -97,14 +89,13 @@ func GenerateQ(factors, strength, q int, seed int64) (Array, error) {
 type coverage struct {
 	factors   int
 	strength  int
-	q         int
 	combos    [][]int  // all C(factors, strength) column index sets
 	covered   [][]bool // per combo, per value pattern (q^strength)
 	remaining int
 }
 
-func newCoverage(factors, strength, q int) *coverage {
-	cov := &coverage{factors: factors, strength: strength, q: q}
+func newCoverage(factors, strength int) *coverage {
+	cov := &coverage{factors: factors, strength: strength}
 	cols := make([]int, strength)
 	var rec func(start, depth int)
 	rec = func(start, depth int) {
@@ -135,7 +126,7 @@ func newCoverage(factors, strength, q int) *coverage {
 func (cov *coverage) valueIndex(row []uint8, combo []int) int {
 	v := 0
 	for i := len(combo) - 1; i >= 0; i-- {
-		v = v*cov.q + int(row[combo[i]])
+		v = v*q + int(row[combo[i]])
 	}
 	return v
 }
@@ -160,8 +151,8 @@ func (cov *coverage) buildCandidate(rng *rand.Rand) []uint8 {
 			if !vals[vi] {
 				x := vi
 				for _, col := range cov.combos[ci] {
-					row[col] = uint8(x % cov.q)
-					x /= cov.q
+					row[col] = uint8(x % q)
+					x /= q
 				}
 				found = true
 				break
@@ -178,11 +169,11 @@ func (cov *coverage) buildCandidate(rng *rand.Rand) []uint8 {
 		if row[col] != unset {
 			continue
 		}
-		bestV := uint8(rng.Intn(cov.q))
+		bestV := uint8(rng.Intn(q))
 		bestG := -1
-		voff := rng.Intn(cov.q)
-		for k := 0; k < cov.q; k++ {
-			v := uint8((k + voff) % cov.q)
+		voff := rng.Intn(q)
+		for k := 0; k < q; k++ {
+			v := uint8((k + voff) % q)
 			if g := cov.partialGain(row, col, v); g > bestG {
 				bestG = g
 				bestV = v
@@ -250,11 +241,7 @@ func (a Array) Covers() bool {
 	if t > a.Factors {
 		t = a.Factors
 	}
-	q := a.Q
-	if q == 0 {
-		q = 2
-	}
-	cov := newCoverage(a.Factors, t, q)
+	cov := newCoverage(a.Factors, t)
 	for _, row := range a.Rows {
 		if len(row) != a.Factors {
 			return false

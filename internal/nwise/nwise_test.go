@@ -170,65 +170,8 @@ func BenchmarkThreeWise12(b *testing.B) {
 	}
 }
 
-func TestGenerateQTernaryCoverage(t *testing.T) {
-	for _, n := range []int{3, 5, 8} {
-		a, err := GenerateQ(n, 2, 3, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !a.Covers() {
-			t.Fatalf("ternary pairwise over %d factors does not cover", n)
-		}
-		for _, row := range a.Rows {
-			for _, v := range row {
-				if v > 2 {
-					t.Fatalf("value %d outside ternary alphabet", v)
-				}
-			}
-		}
-	}
-}
-
-func TestGenerateQCartesian(t *testing.T) {
-	a, err := GenerateQ(2, 3, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Rows) != 9 {
-		t.Fatalf("3^2 Cartesian = %d rows", len(a.Rows))
-	}
-	seen := map[[2]uint8]bool{}
-	for _, r := range a.Rows {
-		seen[[2]uint8{r[0], r[1]}] = true
-	}
-	if len(seen) != 9 {
-		t.Fatal("Cartesian rows not distinct")
-	}
-}
-
-func TestGenerateQErrors(t *testing.T) {
-	if _, err := GenerateQ(4, 2, 1, 1); err == nil {
-		t.Fatal("q=1 must error")
-	}
-	if _, err := GenerateQ(4, 2, 5, 1); err == nil {
-		t.Fatal("q=5 must error")
-	}
-}
-
-func TestGenerateQRowCountReasonable(t *testing.T) {
-	a, err := GenerateQ(8, 2, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pairwise ternary lower bound is 9 rows; greedy should stay well
-	// under the 6561-row Cartesian product.
-	if len(a.Rows) < 9 || len(a.Rows) > 40 {
-		t.Fatalf("ternary pairwise rows = %d", len(a.Rows))
-	}
-}
-
 func TestCoversRejectsOutOfAlphabet(t *testing.T) {
-	a := Array{Factors: 2, Strength: 2, Q: 2, Rows: [][]uint8{{0, 2}}}
+	a := Array{Factors: 2, Strength: 2, Rows: [][]uint8{{0, 2}}}
 	if a.Covers() {
 		t.Fatal("out-of-alphabet value accepted")
 	}

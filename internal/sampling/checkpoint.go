@@ -107,27 +107,38 @@ func ShardFile(dir string, i int) string {
 // deterministic per layout, so two workers racing on the same index write
 // byte-identical shards and the atomic seal makes the race benign.
 func BuildShard(dir string, li int, l layout.Layout, cfg Config) (computed bool, quarantined string, err error) {
-	_, ok, rerr := readShard(dir, li, l.Name)
+	_, computed, _, quarantined, err = loadOrLabel(dir, li, l, cfg)
+	return computed, quarantined, err
+}
+
+// loadOrLabel is the one load-or-label step of BuildShard and a
+// checkpointed BuildDatasetCtx: it returns the sealed shard li from dir when
+// a valid one is there, and otherwise labels layout l and seals the result.
+// A shard that failed envelope verification (bit flip, torn write, version
+// skew, wrong kind) is quarantined first; rejected then says why and
+// quarantined names the corpse. Labeling is deterministic per layout, so
+// recomputing just that layout keeps the build bit-identical. computed
+// reports whether labeling ran.
+func loadOrLabel(dir string, li int, l layout.Layout, cfg Config) (s shard, computed bool, rejected error, quarantined string, err error) {
+	s, ok, err := readShard(dir, li, l.Name)
 	switch {
-	case rerr != nil && artifact.Rejected(rerr):
-		q, qerr := artifact.Quarantine(shardPath(dir, li))
-		if qerr != nil {
-			return false, "", fmt.Errorf("sampling: shard %d rejected (%v) and not quarantinable: %w", li, rerr, qerr)
+	case err != nil && artifact.Rejected(err):
+		rejected = err
+		if quarantined, err = artifact.Quarantine(shardPath(dir, li)); err != nil {
+			return shard{}, false, nil, "", fmt.Errorf("sampling: shard %d rejected (%v) and not quarantinable: %w", li, rejected, err)
 		}
-		quarantined = q
-	case rerr != nil:
-		return false, "", rerr
+	case err != nil:
+		return shard{}, false, nil, "", err
 	case ok:
-		return false, "", nil
+		return s, false, nil, "", nil
 	}
-	s, err := computeShard(l, li, cfg)
-	if err != nil {
-		return false, quarantined, err
+	if s, err = computeShard(l, li, cfg); err != nil {
+		return shard{}, false, rejected, quarantined, err
 	}
 	if err := writeShard(dir, s); err != nil {
-		return false, quarantined, err
+		return shard{}, false, rejected, quarantined, err
 	}
-	return true, quarantined, nil
+	return s, true, rejected, quarantined, nil
 }
 
 // VerifyShard checks that the sealed shard for layout index li exists, passes

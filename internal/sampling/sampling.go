@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"sync/atomic"
 
-	"ldmo/internal/artifact"
 	"ldmo/internal/cluster"
 	"ldmo/internal/decomp"
 	"ldmo/internal/faultinject"
@@ -242,46 +241,25 @@ func BuildDatasetCtx(ctx context.Context, layouts []layout.Layout, cfg Config, l
 	pool := par.NewPool(cfg.Workers)
 	_, cerr := pool.MapCtx(ctx, len(layouts), func(_, li int) {
 		l := layouts[li]
-		var quarantined string
-		if cfg.Checkpoint != "" {
-			s, ok, err := readShard(cfg.Checkpoint, li, l.Name)
-			switch {
-			case err != nil && artifact.Rejected(err):
-				// The shard failed envelope verification (bit flip, torn
-				// write, version skew, wrong kind). Labeling is deterministic
-				// per layout, so quarantine the bad bytes and recompute just
-				// this layout — the resumed dataset stays bit-identical.
-				q, qerr := artifact.Quarantine(shardPath(cfg.Checkpoint, li))
-				if qerr != nil {
-					results[li] = labeled{err: fmt.Errorf("sampling: shard %d rejected (%v) and not quarantinable: %w", li, err, qerr)}
-					return
-				}
-				quarantined = fmt.Sprintf("sampling: discarding shard %d (%v); quarantined to %s; relabeling %s\n", li, err, q, l.Name)
-			case err != nil:
-				results[li] = labeled{err: err}
-				return
-			case ok:
-				results[li] = labeled{imgs: s.Imgs, scores: s.Scores}
-				return
-			}
+		if cfg.Checkpoint == "" {
+			s, err := computeShard(l, li, cfg)
+			results[li] = labeled{imgs: s.Imgs, scores: s.Scores, err: err}
+			return
 		}
-		s, err := computeShard(l, li, cfg)
+		s, computed, rejected, q, err := loadOrLabel(cfg.Checkpoint, li, l, cfg)
 		if err != nil {
 			results[li] = labeled{err: err}
 			return
 		}
-		out := labeled{imgs: s.Imgs, scores: s.Scores, quarantined: quarantined}
-		if cfg.Checkpoint != "" {
-			if err := writeShard(cfg.Checkpoint, s); err != nil {
-				results[li] = labeled{err: err}
-				return
-			}
-			// Deterministic interrupt for the resume tests: cancel our own
-			// context once enough shards landed.
-			if n := faultinject.ArgInt(faultinject.CancelAfter, -1); n >= 0 &&
-				persisted.Add(1) >= int64(n) {
-				cancel()
-			}
+		out := labeled{imgs: s.Imgs, scores: s.Scores}
+		if rejected != nil {
+			out.quarantined = fmt.Sprintf("sampling: discarding shard %d (%v); quarantined to %s; relabeling %s\n", li, rejected, q, l.Name)
+		}
+		// Deterministic interrupt for the resume tests: cancel our own
+		// context once enough shards this call computed have landed.
+		if n := faultinject.ArgInt(faultinject.CancelAfter, -1); computed && n >= 0 &&
+			persisted.Add(1) >= int64(n) {
+			cancel()
 		}
 		results[li] = out
 	})

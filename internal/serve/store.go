@@ -40,9 +40,6 @@ func OpenStore(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (st *Store) Dir() string { return st.dir }
-
 func (st *Store) specPath(id string) string  { return filepath.Join(st.dir, id+".spec") }
 func (st *Store) statePath(id string) string { return filepath.Join(st.dir, id+".state") }
 
@@ -89,13 +86,6 @@ func (st *Store) GetState(id string) (State, error) {
 		return State{}, fmt.Errorf("serve: decode state %s: %w", id, err)
 	}
 	return state, nil
-}
-
-// Delete removes a job's files (tests and operator tooling; the server never
-// forgets a job on its own).
-func (st *Store) Delete(id string) {
-	os.Remove(st.specPath(id))
-	os.Remove(st.statePath(id))
 }
 
 // RecoveredJob is one job reconstructed by Recover.

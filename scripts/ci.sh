@@ -1,25 +1,48 @@
 #!/bin/sh
-# CI gate: clean-tree guard, vet, build, full test suite, the race detector
-# over the packages with concurrent hot paths (worker pool, FFT scratch
-# sharing, the mask-lane ILT session, candidate fan-out, predictor lanes
-# reading one shared frozen weight set and the pooled GEMM scratch), and
-# short fuzz smokes on the GDS and CSV readers, the artifact envelope and the
-# serve job-spec decode and content hash so hostile-input regressions surface
-# before a long fuzz campaign would find them. The repository benchmark
-# module under bench/ imports the flow, ILT, litho, FFT, serve, model and
-# sampling packages, so it is vetted and tested here too: an API change that
-# would break bench/run.sh fails CI instead.
+# CI gate: clean-tree guard, vet, build, a reachability guard over the
+# internal packages, full test suite, the race detector over the packages
+# with concurrent hot paths (worker pool, FFT scratch sharing, the mask-lane
+# ILT session, candidate fan-out, predictor lanes reading one shared frozen
+# weight set and the pooled GEMM scratch), and short fuzz smokes on the GDS
+# and CSV readers, the artifact envelope and the serve job-spec decode and
+# content hash so hostile-input regressions surface before a long fuzz
+# campaign would find them. The repository benchmark module under bench/
+# imports the flow, ILT, litho, FFT, serve, model and sampling packages, so
+# it is vetted and tested here too: an API change that would break
+# bench/run.sh fails CI instead.
 set -eux
 
 cd "$(dirname "$0")/.."
+tmpout="$(mktemp -d)"
+trap 'rm -rf "$tmpout"' EXIT
 
 # Generated files, gofmt drift, or test litter in the tree fail fast.
 git diff --exit-code
 
 go vet ./...
 go build ./...
+
+# Reachability guard: every internal package must be imported, directly or
+# not, by a command or by package ldmo. A package only an example or a test
+# reaches ships in no binary; delete it or wire it in. grep prints the
+# unreached packages.
+go list ./internal/... > "$tmpout/internal"
+go list -deps ./cmd/... . > "$tmpout/reached"
+if grep -vxF -f "$tmpout/reached" "$tmpout/internal"; then
+	echo "ci: the internal packages above are unreachable from ./cmd/... and package ldmo" >&2
+	exit 1
+fi
+
 go test -timeout 300s -shuffle=on ./...
 (cd bench && go vet ./... && go test ./...)
+
+# Factory gates: lease claiming, reclaim, hung-worker kill, poison quarantine
+# and resume run under -race via ./internal/factory in the next line. The
+# chaos drill is carried by TestFactoryChaosConvergesToSerial (in-process
+# kills) and TestFactoryRealProcessChaosDrill (re-exec'd workers SIGKILLed
+# mid-build), both converging byte-identical to the serial reference, and by
+# TestFactoryResume, which also resumes an already-complete directory and
+# requires its manifest bytes unchanged.
 go test -timeout 600s -race ./internal/ilt ./internal/litho ./internal/fft ./internal/core ./internal/par ./internal/sampling ./internal/runx ./internal/faultinject ./internal/artifact ./internal/tensor ./internal/nn ./internal/model ./internal/serve ./internal/factory
 go test -run='^$' -fuzz='^FuzzReadGDS$' -fuzztime=10s ./internal/gds
 go test -run='^$' -fuzz='^FuzzReadCSV$' -fuzztime=10s ./internal/layout
@@ -60,12 +83,3 @@ go test -run='^$' -fuzz='^FuzzGEMM$' -fuzztime=10s ./internal/tensor
 GODEBUG=cpu.fma=off go test -timeout 300s ./internal/litho
 GODEBUG=cpu.fma=off go test -timeout 300s -run FlowMaskBitsGolden ./internal/core
 GOARCH=386 go test -timeout 300s ./internal/fft ./internal/tensor ./internal/nn ./internal/model ./internal/litho ./internal/ilt ./internal/core ./internal/artifact
-tmpout="$(mktemp -d)"
-trap 'rm -rf "$tmpout"' EXIT
-
-# Factory gates: lease claiming, reclaim, hung-worker kill, poison quarantine,
-# and both re-exec'd chaos drills (SIGKILL mid-build converging byte-identical
-# to the serial reference) run under -race via ./internal/factory above; the
-# quick bench repeats the chaos drill in-process, measures scaling, reclaim and
-# resume cost, and fails if the chaos manifest diverges from the serial one.
-go run ./cmd/ldmo-bench -exp factorybench -fast -deadline 180s -out "$tmpout"
