@@ -22,8 +22,10 @@ func ASMEnabled() bool { return haveFFTASM }
 // can run.
 func HasFMA() bool { return haveFMA }
 
-// CPUFeatures lists the detected vector capabilities ("avx", "avx2") for
-// bench records, so timing numbers are interpretable across hosts.
+// CPUFeatures lists the detected vector capabilities ("avx", "avx2",
+// "fma") for bench records, so timing numbers are interpretable across
+// hosts: the spectral kernels need AVX2, and the litho sigmoid kernel FMA3
+// as well.
 func CPUFeatures() []string {
 	var f []string
 	if haveAVX {
@@ -31,6 +33,9 @@ func CPUFeatures() []string {
 	}
 	if haveAVX2 {
 		f = append(f, "avx2")
+	}
+	if haveFMA {
+		f = append(f, "fma")
 	}
 	return f
 }

@@ -26,14 +26,33 @@ func cpuFeatureProbe() (avx, avx2, fma bool)
 //go:noescape
 func fftStageAVX(x *complex128, n, half int, tw *complex128)
 
-// fftRows1AVX runs one radix-2 stage of half-size half >= 1 down the first
-// nv columns (nv even) of the h x stride row-major raster at x, pairing
-// whole rows and reading the stage's contiguous twiddle run at tw.
-// Bit-identical per column to the scalar stage loop on finite inputs.
-// Implemented in asm_amd64.s.
+// fftFirstSweepAVX writes the bit-reversal permutation of the n-element
+// natural-order array at src (n >= 4), with the first two radix-2 stages
+// applied, to dst: each output block of four is read from its bit-reversed
+// sources (rev is the n-point permutation) and butterflied in registers.
+// tw points at the stage-major twiddle run's start. Bit-identical to the
+// scalar permutation and stage loops on finite inputs. Implemented in
+// asm_amd64.s.
 //
 //go:noescape
-func fftRows1AVX(x *complex128, stride, nv, h, half int, tw *complex128)
+func fftFirstSweepAVX(dst, src *complex128, rev *int32, n int, tw *complex128)
+
+// fftStage2AVX runs the two radix-2 stages of half-sizes half and 2*half
+// (half >= 2) in one sweep over the n-element array at x; tw points at
+// stage half's twiddle run, which stage 2*half's follows in the stage-major
+// layout. Implemented in asm_amd64.s.
+//
+//go:noescape
+func fftStage2AVX(x *complex128, n, half int, tw *complex128)
+
+// fftRows1AVX runs one radix-2 stage of half-size half >= 1 down every
+// column of the h x stride row-major raster at x, pairing whole rows and
+// reading the stage's contiguous twiddle run at tw. Bit-identical per
+// column to the scalar stage loop on finite inputs. Implemented in
+// asm_amd64.s.
+//
+//go:noescape
+func fftRows1AVX(x *complex128, stride, h, half int, tw *complex128)
 
 // fftRows2AVX runs the two stages of half-sizes half and 2*half in one
 // sweep over the same columns as fftRows1AVX; tw points at stage half's
@@ -41,7 +60,7 @@ func fftRows1AVX(x *complex128, stride, nv, h, half int, tw *complex128)
 // Implemented in asm_amd64.s.
 //
 //go:noescape
-func fftRows2AVX(x *complex128, stride, nv, h, half int, tw *complex128)
+func fftRows2AVX(x *complex128, stride, h, half int, tw *complex128)
 
 // cmulAVX computes dst[i] = a[i] * b[i] for i < n; n must be even.
 // Implemented in asm_amd64.s.

@@ -93,7 +93,8 @@ none:
 // contiguous twiddle run from the vector layout in tables.go (the exact
 // Sincos-sampled values the scalar path reads with stride n/size). half
 // must be >= 2, so every block is a whole number of 32-byte vectors and no
-// tail exists inside the stage.
+// tail exists inside the stage. The row core (transformInto) runs its odd
+// last stage here.
 TEXT ·fftStageAVX(SB), NOSPLIT, $0-32
 	MOVQ x+0(FP), DI
 	MOVQ n+8(FP), AX
@@ -132,24 +133,176 @@ done:
 	VZEROUPPER
 	RET
 
-// func fftRows1AVX(x *complex128, stride, nv, h, half int, tw *complex128)
+// func fftFirstSweepAVX(dst, src *complex128, rev *int32, n int, tw *complex128)
 //
-// One radix-2 stage (half-size half >= 1) down the first nv columns (nv
-// even) of the h x stride row-major raster at x, butterflying whole rows:
-// for each size-2*half block of rows and each j < half, rows a = start+j
-// and b = a+half take the twiddle tw[j] (the stage's contiguous run), and
-// every column c < nv gets x[a][c], x[b][c] = a+b*w, a-b*w. The twiddle is
-// broadcast to both lanes, so each element goes through fftStageAVX's
-// multiply and add/sub sequence exactly.
-TEXT ·fftRows1AVX(SB), NOSPLIT, $0-48
+// The bit-reversal permutation and the first two radix-2 stages of the
+// n-point transform (n >= 4) in one sweep, from the natural-order src into
+// dst (the two must not overlap). Output block 4b is read straight from
+// its bit-reversed sources: with r = rev[4b] (always < n/4),
+//
+//	x0 = src[r], x1 = src[r+n/2], x2 = src[r+n/4], x3 = src[r+3n/4]
+//
+// are what the permutation would have placed at 4b..4b+3. Stage half = 1
+// butterflies (x0,x1) and (x2,x3), both with tw[0], held as the lanes of
+// [x0,x2] and [x1,x3]; two VPERM2F128 regroup the results as [y0,y1] and
+// [y2,y3]; stage half = 2 butterflies (y0,y2) with tw[1] and (y1,y3) with
+// tw[2]; and the four outputs are stored contiguously. tw points at the
+// stage-major run (tables.go), where stage 1's one twiddle is followed by
+// stage 2's two. The stage-1 twiddle tab[0] = (1, ∓0) goes through the full
+// multiply, as the scalar butterfly's b * tab[0] does, and every element
+// sees fftStageAVX's VPERMILPD/VMULPD/VADDSUBPD/VADDPD/VSUBPD sequence.
+TEXT ·fftFirstSweepAVX(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ rev+16(FP), R8
+	MOVQ n+24(FP), CX
+	MOVQ tw+32(FP), R9
+	VBROADCASTF128 (R9), Y6        // [tw[0], tw[0]]
+	VMOVUPD        16(R9), Y7      // [tw[1], tw[2]]
+	VPERMILPD      $0x0, Y6, Y10   // stage-1 wr
+	VPERMILPD      $0xF, Y6, Y11   // stage-1 wi
+	VPERMILPD      $0x0, Y7, Y12   // stage-2 wr
+	VPERMILPD      $0xF, Y7, Y13   // stage-2 wi
+	MOVQ CX, AX
+	SHLQ $2, AX                    // n/4 complex128 in bytes
+	SHRQ $2, CX                    // output blocks
+fsloop:
+	MOVLQSX     (R8), BX           // r = rev[4b]
+	SHLQ        $4, BX
+	ADDQ        SI, BX             // &src[r]
+	VMOVUPD     (BX), X0
+	VINSERTF128 $1, (BX)(AX*1), Y0, Y0  // [x0, x2]
+	LEAQ        (BX)(AX*2), BX          // &src[r+n/2]
+	VMOVUPD     (BX), X1
+	VINSERTF128 $1, (BX)(AX*1), Y1, Y1  // [x1, x3]
+	// Stage half = 1: (x0,x1) and (x2,x3) with tw[0].
+	VMULPD     Y1, Y10, Y4
+	VPERMILPD  $0x5, Y1, Y5
+	VMULPD     Y5, Y11, Y5
+	VADDSUBPD  Y5, Y4, Y4               // t = [x1, x3] * tw[0]
+	VADDPD     Y4, Y0, Y2               // [y0, y2]
+	VSUBPD     Y4, Y0, Y3               // [y1, y3]
+	VPERM2F128 $0x20, Y3, Y2, Y0        // [y0, y1]
+	VPERM2F128 $0x31, Y3, Y2, Y1        // [y2, y3]
+	// Stage half = 2: (y0,y2) with tw[1], (y1,y3) with tw[2].
+	VMULPD     Y1, Y12, Y4
+	VPERMILPD  $0x5, Y1, Y5
+	VMULPD     Y5, Y13, Y5
+	VADDSUBPD  Y5, Y4, Y4               // t = [y2, y3] * [tw[1], tw[2]]
+	VADDPD     Y4, Y0, Y2
+	VMOVUPD    Y2, (DI)                 // [z0, z1]
+	VSUBPD     Y4, Y0, Y3
+	VMOVUPD    Y3, 32(DI)               // [z2, z3]
+	ADDQ       $16, R8
+	ADDQ       $64, DI
+	DECQ       CX
+	JNZ        fsloop
+	VZEROUPPER
+	RET
+
+// func fftStage2AVX(x *complex128, n, half int, tw *complex128)
+//
+// Two radix-2 stages (half-sizes half and 2*half, half >= 2) in one sweep
+// over the n-element array at x: fftRows2AVX's schedule within one row,
+// where the twiddles differ per lane instead of per row pair. For each
+// size-4*half block and each pair of lanes j, j+1 < half, the quarters
+// a = x[start+j], b = a+half, c = a+2*half, d = a+3*half are loaded once
+// and butterflied twice: (a,b) and (c,d) with the stage-half twiddles
+// tw[j], then (a,c) with tw[half+j] and (b,d) with tw[2*half+j], which are
+// stg[2h-1+j] and stg[3h-1+j] for tw = &stg[h-1] in the stage-major
+// layout. Every element sees fftStageAVX's sequence, stage by stage.
+TEXT ·fftStage2AVX(SB), NOSPLIT, $0-32
+	MOVQ x+0(FP), DI
+	MOVQ n+8(FP), AX
+	MOVQ half+16(FP), DX
+	MOVQ tw+24(FP), R9
+	SHLQ $4, AX              // n in bytes
+	SHLQ $4, DX              // half in bytes
+	LEAQ (DI)(AX*1), R8      // end of the array
+	LEAQ (R9)(DX*1), R11     // stage-2*half twiddles of the a quarter
+	LEAQ (R11)(DX*1), R12    // ... and of the b quarter
+s2blk:
+	CMPQ DI, R8
+	JGE  s2done
+	LEAQ (DI)(DX*1), BX      // b quarter
+	LEAQ (BX)(DX*1), R10     // c quarter
+	LEAQ (R10)(DX*1), R13    // d quarter
+	XORQ SI, SI
+s2lane:
+	CMPQ SI, DX
+	JGE  s2lanedone
+	VMOVUPD   (R9)(SI*1), Y6
+	VPERMILPD $0x0, Y6, Y10       // w1 = tw[j]
+	VPERMILPD $0xF, Y6, Y11
+	VMOVUPD   (R11)(SI*1), Y7
+	VPERMILPD $0x0, Y7, Y12       // w2 = tw[half+j]
+	VPERMILPD $0xF, Y7, Y13
+	VMOVUPD   (R12)(SI*1), Y8
+	VPERMILPD $0x0, Y8, Y14       // w3 = tw[2*half+j]
+	VPERMILPD $0xF, Y8, Y15
+	VMOVUPD   (DI)(SI*1), Y0      // a
+	VMOVUPD   (BX)(SI*1), Y1      // b
+	VMOVUPD   (R10)(SI*1), Y2     // c
+	VMOVUPD   (R13)(SI*1), Y3     // d
+	// Stage half: (a,b) and (c,d) with w1.
+	VMULPD    Y1, Y10, Y4
+	VPERMILPD $0x5, Y1, Y5
+	VMULPD    Y5, Y11, Y5
+	VADDSUBPD Y5, Y4, Y4          // t = b * w1
+	VSUBPD    Y4, Y0, Y1          // b = a - t
+	VADDPD    Y4, Y0, Y0          // a = a + t
+	VMULPD    Y3, Y10, Y6
+	VPERMILPD $0x5, Y3, Y7
+	VMULPD    Y7, Y11, Y7
+	VADDSUBPD Y7, Y6, Y6          // t = d * w1
+	VSUBPD    Y6, Y2, Y3          // d = c - t
+	VADDPD    Y6, Y2, Y2          // c = c + t
+	// Stage 2*half: (a,c) with w2, (b,d) with w3.
+	VMULPD    Y2, Y12, Y4
+	VPERMILPD $0x5, Y2, Y5
+	VMULPD    Y5, Y13, Y5
+	VADDSUBPD Y5, Y4, Y4          // t = c * w2
+	VSUBPD    Y4, Y0, Y2          // c = a - t
+	VADDPD    Y4, Y0, Y0          // a = a + t
+	VMULPD    Y3, Y14, Y6
+	VPERMILPD $0x5, Y3, Y7
+	VMULPD    Y7, Y15, Y7
+	VADDSUBPD Y7, Y6, Y6          // t = d * w3
+	VSUBPD    Y6, Y1, Y3          // d = b - t
+	VADDPD    Y6, Y1, Y1          // b = b + t
+	VMOVUPD   Y0, (DI)(SI*1)
+	VMOVUPD   Y1, (BX)(SI*1)
+	VMOVUPD   Y2, (R10)(SI*1)
+	VMOVUPD   Y3, (R13)(SI*1)
+	ADDQ      $32, SI
+	JMP       s2lane
+s2lanedone:
+	LEAQ (R13)(DX*1), DI     // next block: skip the b, c and d quarters
+	JMP  s2blk
+s2done:
+	VZEROUPPER
+	RET
+
+// func fftRows1AVX(x *complex128, stride, h, half int, tw *complex128)
+//
+// One radix-2 stage (half-size half >= 1) down every column of the
+// h x stride row-major raster at x, butterflying whole rows: for each
+// size-2*half block of rows and each j < half, rows a = start+j and
+// b = a+half take the twiddle tw[j] (the stage's contiguous run), and every
+// column c gets x[a][c], x[b][c] = a+b*w, a-b*w. The twiddle is broadcast
+// to every lane, so each element goes through fftStageAVX's multiply and
+// add/sub sequence exactly. Two columns go per 256-bit vector; an odd
+// stride's last column (a half spectrum's Nyquist column) takes the same
+// sequence in its 128-bit form.
+TEXT ·fftRows1AVX(SB), NOSPLIT, $0-40
 	MOVQ x+0(FP), DI
 	MOVQ stride+8(FP), AX
-	MOVQ nv+16(FP), BX
-	MOVQ h+24(FP), CX
-	MOVQ half+32(FP), R13
-	MOVQ tw+40(FP), R10
+	MOVQ h+16(FP), CX
+	MOVQ half+24(FP), R13
+	MOVQ tw+32(FP), R10
+	MOVQ AX, BX
+	SHRQ $1, BX              // whole vectors per row
 	SHLQ $4, AX              // row stride in bytes
-	SHRQ $1, BX              // vectors per row
 	IMULQ AX, CX
 	LEAQ (DI)(CX*1), R8      // end of the raster
 	IMULQ AX, R13            // half rows in bytes
@@ -183,6 +336,20 @@ r1col:
 	DECQ      CX
 	JMP       r1col
 r1coldone:
+	MOVQ  stride+8(FP), CX
+	TESTQ $1, CX
+	JZ    r1next
+	VMOVUPD   (R11), X0          // the odd last column
+	VMOVUPD   (R11)(R13*1), X1
+	VMULPD    X1, X10, X4
+	VPERMILPD $0x1, X1, X5
+	VMULPD    X5, X11, X5
+	VADDSUBPD X5, X4, X4
+	VADDPD    X4, X0, X6
+	VMOVUPD   X6, (R11)
+	VSUBPD    X4, X0, X7
+	VMOVUPD   X7, (R11)(R13*1)
+r1next:
 	ADDQ AX, SI
 	ADDQ $16, R9
 	JMP  r1row
@@ -193,27 +360,28 @@ r1done:
 	VZEROUPPER
 	RET
 
-// func fftRows2AVX(x *complex128, stride, nv, h, half int, tw *complex128)
+// func fftRows2AVX(x *complex128, stride, h, half int, tw *complex128)
 //
-// Two radix-2 stages (half-sizes half and 2*half) in one sweep down the
-// first nv columns (nv even) of the h x stride row-major raster at x. For
-// each size-4*half block and each j < half, the four rows a = start+j,
-// b = a+half, c = a+2*half, d = a+3*half are loaded once and butterflied
-// twice: (a,b) and (c,d) with the stage-half twiddle tw[j], then (a,c) with
-// tw[half+j] and (b,d) with tw[2*half+j], the stage-2*half twiddles of rows
-// a and b. tw points at stage half's contiguous run, which the stage-major
-// layout (tables.go) follows directly with stage 2*half's. Every element
-// sees the same per-stage operations as fftRows1AVX, in the same stage
-// order; only the loads and stores between the two stages are saved.
-TEXT ·fftRows2AVX(SB), NOSPLIT, $0-48
+// Two radix-2 stages (half-sizes half and 2*half) in one sweep down every
+// column of the h x stride row-major raster at x. For each size-4*half
+// block and each j < half, the four rows a = start+j, b = a+half,
+// c = a+2*half, d = a+3*half are loaded once and butterflied twice: (a,b)
+// and (c,d) with the stage-half twiddle tw[j], then (a,c) with tw[half+j]
+// and (b,d) with tw[2*half+j], the stage-2*half twiddles of rows a and b.
+// tw points at stage half's contiguous run, which the stage-major layout
+// (tables.go) follows directly with stage 2*half's. Every element sees the
+// same per-stage operations as fftRows1AVX, in the same stage order; only
+// the loads and stores between the two stages are saved. An odd stride's
+// last column runs the same sequence in its 128-bit form.
+TEXT ·fftRows2AVX(SB), NOSPLIT, $0-40
 	MOVQ x+0(FP), DI
 	MOVQ stride+8(FP), AX
-	MOVQ nv+16(FP), BX
-	MOVQ h+24(FP), CX
-	MOVQ half+32(FP), R13
-	MOVQ tw+40(FP), R9       // stage-half twiddle for j = 0
+	MOVQ h+16(FP), CX
+	MOVQ half+24(FP), R13
+	MOVQ tw+32(FP), R9       // stage-half twiddle for j = 0
+	MOVQ AX, BX
+	SHRQ $1, BX              // whole vectors per row
 	SHLQ $4, AX              // row stride in bytes
-	SHRQ $1, BX              // vectors per row
 	IMULQ AX, CX
 	LEAQ (DI)(CX*1), R8      // end of the raster
 	MOVQ R13, DX
@@ -278,6 +446,42 @@ r2col:
 	DECQ      CX
 	JMP       r2col
 r2coldone:
+	MOVQ  stride+8(FP), CX
+	TESTQ $1, CX
+	JZ    r2next
+	VMOVUPD   (R11), X0           // the odd last column
+	VMOVUPD   (R11)(R13*1), X1
+	VMOVUPD   (R10), X2
+	VMOVUPD   (R10)(R13*1), X3
+	VMULPD    X1, X10, X4
+	VPERMILPD $0x1, X1, X5
+	VMULPD    X5, X11, X5
+	VADDSUBPD X5, X4, X4
+	VSUBPD    X4, X0, X1
+	VADDPD    X4, X0, X0
+	VMULPD    X3, X10, X6
+	VPERMILPD $0x1, X3, X7
+	VMULPD    X7, X11, X7
+	VADDSUBPD X7, X6, X6
+	VSUBPD    X6, X2, X3
+	VADDPD    X6, X2, X2
+	VMULPD    X2, X12, X4
+	VPERMILPD $0x1, X2, X5
+	VMULPD    X5, X13, X5
+	VADDSUBPD X5, X4, X4
+	VSUBPD    X4, X0, X2
+	VADDPD    X4, X0, X0
+	VMULPD    X3, X14, X6
+	VPERMILPD $0x1, X3, X7
+	VMULPD    X7, X15, X7
+	VADDSUBPD X7, X6, X6
+	VSUBPD    X6, X1, X3
+	VADDPD    X6, X1, X1
+	VMOVUPD   X0, (R11)
+	VMOVUPD   X1, (R11)(R13*1)
+	VMOVUPD   X2, (R10)
+	VMOVUPD   X3, (R10)(R13*1)
+r2next:
 	ADDQ AX, SI
 	ADDQ $16, R9
 	JMP  r2row

@@ -56,66 +56,124 @@ func randComplex(rng *rand.Rand, n int) []complex128 {
 	return x
 }
 
+// signedZeros returns n complex values whose components are +0 or -0 at
+// random. On such a row every butterfly output is a zero whose sign follows
+// IEEE's rules for each operation, so a skipped or reordered operation,
+// such as a first stage that leaves out its multiply by tab[0] = (1, ∓0),
+// can show in the bits where planted data almost never shows it.
+func signedZeros(rng *rand.Rand, n int) []complex128 {
+	x := make([]complex128, n)
+	for i := range x {
+		x[i] = complex(math.Copysign(0, rng.NormFloat64()), math.Copysign(0, rng.NormFloat64()))
+	}
+	return x
+}
+
+// negZeros returns n values of (-0, -0). Through the rfft untangle, most
+// sign differences on a random-sign zero row wash out to +0; on this row a
+// skipped multiply by tab[0] flips a sign in every first-stage output, and
+// rfftRow's bits show it.
+func negZeros(n int) []complex128 {
+	x := make([]complex128, n)
+	for i := range x {
+		x[i] = complex(math.Copysign(0, -1), math.Copysign(0, -1))
+	}
+	return x
+}
+
+// packedReals returns the n reals that rfftRow packs into c (even samples
+// the real parts, odd samples the imaginary parts), so the planted-data
+// generators serve as rfftRow sources too.
+func packedReals(c []complex128, n int) []float64 {
+	x := make([]float64, n)
+	for i := range x {
+		if v := c[i/2]; i%2 == 0 {
+			x[i] = real(v)
+		} else {
+			x[i] = imag(v)
+		}
+	}
+	return x
+}
+
 // planSizes is every transform length the plan cache can produce: NextPow2
 // of image+kernel padding is always a power of two, and the packed rfft
 // core halves it once more, so powers of two from 1 to 4096 cover the whole
 // reachable family (224-class rasters pad to 256; tests go far beyond).
 var planSizes = []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
 
-// TestVecTransformBitIdentical pins the butterfly kernel: for every
-// reachable size, forward and inverse, the vector stage path produces the
-// same bits as the scalar stage loop.
+// TestVecTransformBitIdentical pins the vector engine's row core: for every
+// size it runs at (4 and up), forward and inverse, transformInto's
+// bit-reversed reads, fused first sweep and two-stage sweeps produce the
+// same bits as the scalar permutation plus stage loop, transformWith. Each
+// case runs on a row planted with signed zeros and subnormals and on two
+// rows of zeros only: random signs, and all -0.
 func TestVecTransformBitIdentical(t *testing.T) {
 	requireASM(t)
 	rng := rand.New(rand.NewSource(101))
 	for _, n := range planSizes {
+		if n < 4 {
+			continue
+		}
 		tw := tablesFor(n)
+		got := make([]complex128, n)
 		for _, inverse := range []bool{false, true} {
-			ref := randComplex(rng, n)
-			vec := append([]complex128(nil), ref...)
-			transformWith(ref, tw, inverse, false)
-			transformWith(vec, tw, inverse, true)
-			label := "fwd"
+			label := "fwd/" + itoa(n)
 			if inverse {
-				label = "inv"
+				label = "inv/" + itoa(n)
 			}
-			diffComplex(t, label+"/"+itoa(n), vec, ref)
+			for _, src := range [][]complex128{plantedComplex(rng, n), signedZeros(rng, n), negZeros(n)} {
+				want := append([]complex128(nil), src...)
+				transformWith(want, tw, inverse)
+				transformInto(got, src, tw, inverse)
+				diffComplex(t, label, got, want)
+			}
 		}
 	}
 }
 
-// TestVecRFFTRowBitIdentical pins pack, untangle, repack, and unpack across
-// the reachable sizes, including short source rows (the zero-extended tail
-// every padded raster row has), odd source lengths (the pack boundary pair),
-// and the tiny sizes whose pair loop is shorter than one vector.
+// TestVecRFFTRowBitIdentical pins pack, row core, untangle, repack, and
+// unpack across the reachable sizes, including short source rows (the
+// zero-extended tail every padded raster row has), odd source lengths (the
+// pack boundary pair), and the tiny sizes whose pair loop is shorter than
+// one vector or whose core stays on transformWith. Each source is drawn
+// three times: planted with signed zeros and subnormals, zeros of random
+// sign, and -0 only.
 func TestVecRFFTRowBitIdentical(t *testing.T) {
 	requireASM(t)
 	rng := rand.New(rand.NewSource(202))
 	for _, n := range planSizes[1:] { // rfft needs n >= 2
 		twM := tablesFor(maxInt(n/2, 1))
 		twN := tablesFor(n)
+		buf := make([]complex128, n/2)
 		srcLens := []int{n, n - 1, n / 2, n/2 + 1, 1, 0}
 		for _, sl := range srcLens {
 			if sl < 0 {
 				continue
 			}
-			src := randImage(rng, sl)
-			ref := make([]complex128, rfftLen(n))
-			vec := make([]complex128, rfftLen(n))
-			rfftRow(ref, src, twM, twN, false)
-			rfftRow(vec, src, twM, twN, true)
-			label := itoa(n) + "/src" + itoa(sl)
-			diffComplex(t, "rfft/"+label, vec, ref)
+			pairs := (sl + 1) / 2
+			for _, src := range [][]float64{
+				packedReals(plantedComplex(rng, pairs), sl),
+				packedReals(signedZeros(rng, pairs), sl),
+				packedReals(negZeros(pairs), sl),
+			} {
+				ref := make([]complex128, rfftLen(n))
+				vec := make([]complex128, rfftLen(n))
+				rfftRow(ref, src, nil, twM, twN, false)
+				rfftRow(vec, src, buf, twM, twN, true)
+				label := itoa(n) + "/src" + itoa(sl)
+				diffComplex(t, "rfft/"+label, vec, ref)
 
-			// irfftRow destroys its input; feed each engine its own copy of
-			// the same spectrum.
-			specRef := append([]complex128(nil), ref...)
-			specVec := append([]complex128(nil), ref...)
-			outRef := make([]float64, n)
-			outVec := make([]float64, n)
-			irfftRow(outRef, specRef, twM, twN, 1, false)
-			irfftRow(outVec, specVec, twM, twN, 1, true)
-			diffFloat(t, "irfft/"+label, outVec, outRef)
+				// irfftRow destroys its input; feed each engine its own copy
+				// of the same spectrum.
+				specRef := append([]complex128(nil), ref...)
+				specVec := append([]complex128(nil), ref...)
+				outRef := make([]float64, n)
+				outVec := make([]float64, n)
+				irfftRow(outRef, specRef, nil, twM, twN, 1, false)
+				irfftRow(outVec, specVec, buf, twM, twN, 1, true)
+				diffFloat(t, "irfft/"+label, outVec, outRef)
+			}
 		}
 	}
 }
@@ -241,8 +299,9 @@ func FuzzVecEquivalence(f *testing.F) {
 		twN := tablesFor(n)
 		ref := make([]complex128, rfftLen(n))
 		vec := make([]complex128, rfftLen(n))
-		rfftRow(ref, src, twM, twN, false)
-		rfftRow(vec, src, twM, twN, true)
+		buf := make([]complex128, n/2)
+		rfftRow(ref, src, nil, twM, twN, false)
+		rfftRow(vec, src, buf, twM, twN, true)
 		diffComplex(t, "fuzz rfft", vec, ref)
 
 		other := randComplex(rng, len(ref))
@@ -256,8 +315,8 @@ func FuzzVecEquivalence(f *testing.F) {
 
 		outRef := make([]float64, n)
 		outVec := make([]float64, n)
-		irfftRow(outRef, accRef, twM, twN, 1, false)
-		irfftRow(outVec, accVec, twM, twN, 1, true)
+		irfftRow(outRef, accRef, nil, twM, twN, 1, false)
+		irfftRow(outVec, accVec, buf, twM, twN, 1, true)
 		diffFloat(t, "fuzz irfft", outVec, outRef)
 
 		// Column pass: height 1 .. 2048 from the size exponent, width
@@ -295,21 +354,23 @@ func TestVecKernelsZeroAlloc(t *testing.T) {
 	tw := tablesFor(n)
 	twM := tablesFor(n / 2)
 	spec := make([]complex128, rfftLen(n))
+	row := make([]complex128, n/2)
 	src := randImage(rng, n)
 	real0 := make([]float64, n)
-	// A half-spectrum raster with an odd stage count, so the column pass
-	// runs fftRows2AVX, fftRows1AVX and the scalar Nyquist column.
+	// A half-spectrum raster with an odd stage count and an odd width, so
+	// the column pass runs fftRows2AVX and fftRows1AVX, Nyquist column
+	// included.
 	cols := randComplex(rng, rfftLen(n)*(n/2))
 
 	cases := map[string]func(){
-		"transformWith": func() { transformWith(x, tw, false, true) },
+		"transformInto": func() { transformInto(dst, x, tw, false) },
 		"transformCols": func() { transformCols(cols, rfftLen(n), n/2, twM, false, true) },
 		"colsInverse":   func() { transformCols(cols, rfftLen(n), n/2, twM, true, true) },
 		"cmulInto":      func() { cmulInto(dst, a, b) },
 		"cmulConjInto":  func() { cmulConjInto(dst, a, b) },
 		"accumConjInto": func() { accumConjInto(dst, a, b) },
-		"rfftRow":       func() { rfftRow(spec, src, twM, tw, true) },
-		"irfftRow":      func() { irfftRow(real0, spec, twM, tw, 1, true) },
+		"rfftRow":       func() { rfftRow(spec, src, row, twM, tw, true) },
+		"irfftRow":      func() { irfftRow(real0, spec, row, twM, tw, 1, true) },
 	}
 	for name, fn := range cases {
 		if allocs := testing.AllocsPerRun(20, fn); allocs != 0 {

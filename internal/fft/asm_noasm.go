@@ -16,11 +16,19 @@ func fftStageAVX(x *complex128, n, half int, tw *complex128) {
 	panic("fft: fftStageAVX without AVX support")
 }
 
-func fftRows1AVX(x *complex128, stride, nv, h, half int, tw *complex128) {
+func fftFirstSweepAVX(dst, src *complex128, rev *int32, n int, tw *complex128) {
+	panic("fft: fftFirstSweepAVX without AVX support")
+}
+
+func fftStage2AVX(x *complex128, n, half int, tw *complex128) {
+	panic("fft: fftStage2AVX without AVX support")
+}
+
+func fftRows1AVX(x *complex128, stride, h, half int, tw *complex128) {
 	panic("fft: fftRows1AVX without AVX support")
 }
 
-func fftRows2AVX(x *complex128, stride, nv, h, half int, tw *complex128) {
+func fftRows2AVX(x *complex128, stride, h, half int, tw *complex128) {
 	panic("fft: fftRows2AVX without AVX support")
 }
 

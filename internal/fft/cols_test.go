@@ -115,10 +115,12 @@ type stripPlan struct {
 	p     *Plan
 	strip []complex128
 	rrow  []float64
+	crow  []complex128
 }
 
 func newStripPlan(p *Plan) *stripPlan {
-	return &stripPlan{p: p, strip: make([]complex128, colBlock*p.PH), rrow: make([]float64, p.PW)}
+	return &stripPlan{p: p, strip: make([]complex128, colBlock*p.PH), rrow: make([]float64, p.PW),
+		crow: make([]complex128, p.PW/2)}
 }
 
 // forward returns the half spectrum of the real rows x (PH rows of width
@@ -127,7 +129,7 @@ func (o *stripPlan) forward(x []float64, src, rows int) []complex128 {
 	p := o.p
 	spec := make([]complex128, p.SpecLen())
 	for y := 0; y < rows; y++ {
-		rfftRow(spec[y*p.HW:(y+1)*p.HW], x[y*src:(y+1)*src], p.twHalf, p.twRow, p.vec)
+		rfftRow(spec[y*p.HW:(y+1)*p.HW], x[y*src:(y+1)*src], o.crow, p.twHalf, p.twRow, p.vec)
 	}
 	stripCols(spec, p.HW, p.PH, p.twCol, false, o.strip, p.vec)
 	return spec
@@ -139,7 +141,7 @@ func (o *stripPlan) inverse(freq []complex128, out []float64) {
 	stripCols(freq, p.HW, p.PH, p.twCol, true, o.strip, p.vec)
 	norm := 1 / float64(p.PH)
 	for y := 0; y < p.H; y++ {
-		irfftRow(o.rrow, freq[y*p.HW:(y+1)*p.HW], p.twHalf, p.twRow, 1, p.vec)
+		irfftRow(o.rrow, freq[y*p.HW:(y+1)*p.HW], o.crow, p.twHalf, p.twRow, 1, p.vec)
 		for x := 0; x < p.W; x++ {
 			out[y*p.W+x] = o.rrow[x] * norm
 		}

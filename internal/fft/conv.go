@@ -35,13 +35,17 @@ type Plan struct {
 }
 
 // Scratch is the per-goroutine workspace of one convolution lane: a forward
-// spectrum and a product/inverse-transform field. The inverse row
-// transforms write straight into the caller's output, so no real row is
-// staged. A plan owns one Scratch for its serial methods; parallel callers
-// allocate one per worker with NewScratch.
+// spectrum, a product/inverse-transform field, and one PW/2-complex row for
+// the vector engine's row core, which transforms out of place: the forward
+// row transforms pack into it, the inverse ones transform into it and
+// unpack from it. The inverse row transforms write straight into the
+// caller's output, so no real row is staged. A plan owns one Scratch for
+// its serial methods; parallel callers allocate one per worker with
+// NewScratch.
 type Scratch struct {
 	spec []complex128
 	buf  []complex128
+	row  []complex128
 }
 
 // NewPlan builds a convolution plan. Kernel dimensions must be odd so the
@@ -80,18 +84,21 @@ func (p *Plan) NewScratch() *Scratch {
 	return &Scratch{
 		spec: make([]complex128, p.SpecLen()),
 		buf:  make([]complex128, p.SpecLen()),
+		row:  make([]complex128, p.PW/2),
 	}
 }
 
 // TransformKernel returns the frequency-domain representation of kernel
 // (row-major kw x kh, center at ((kw-1)/2, (kh-1)/2)), wrapped so the center
 // sits at the padded origin. The result can be passed to Convolve and
-// Correlate any number of times.
+// Correlate any number of times. It allocates its own row buffer, so it
+// needs no Scratch and is safe on a shared plan.
 func (p *Plan) TransformKernel(kernel []float64) []complex128 {
 	wrapped := p.wrapKernel(kernel)
 	kf := make([]complex128, p.SpecLen())
+	buf := make([]complex128, p.PW/2)
 	for y, r := range p.twCol.rev {
-		rfftRow(kf[int(r)*p.HW:][:p.HW], wrapped[y*p.PW:(y+1)*p.PW], p.twHalf, p.twRow, p.vec)
+		rfftRow(kf[int(r)*p.HW:][:p.HW], wrapped[y*p.PW:(y+1)*p.PW], buf, p.twHalf, p.twRow, p.vec)
 	}
 	colStages(kf, p.HW, p.PH, p.twCol, false, p.vec)
 	return kf
@@ -164,12 +171,13 @@ func (p *Plan) ForwardInto(s *Scratch, img []float64) []complex128 {
 		panic(fmt.Sprintf("fft: image length %d != %dx%d", len(img), p.W, p.H))
 	}
 	// Each row transform lands at its bit-reversed row, so the column pass
-	// starts at its butterflies.
+	// starts at its butterflies. The padded rows are cleared on every call:
+	// the in-place column pass of the previous call overwrote them.
 	spec := s.spec
 	for y, r := range p.twCol.rev {
 		row := spec[int(r)*p.HW:][:p.HW]
 		if y < p.H {
-			rfftRow(row, img[y*p.W:(y+1)*p.W], p.twHalf, p.twRow, p.vec)
+			rfftRow(row, img[y*p.W:(y+1)*p.W], s.row, p.twHalf, p.twRow, p.vec)
 		} else {
 			clear(row)
 		}
@@ -213,7 +221,7 @@ func (p *Plan) ApplySpecWith(s *Scratch, spec, kfft []complex128, out []float64,
 			}
 		}
 	}
-	p.inverseInto(buf, out)
+	p.inverseInto(s, buf, out)
 }
 
 // InverseSpec inverse-transforms a frequency-domain field assembled from
@@ -227,7 +235,7 @@ func (p *Plan) InverseSpec(s *Scratch, freq []complex128, out []float64) {
 		panic("fft: frequency field from a different plan")
 	}
 	permuteRows(freq, p.HW, p.twCol)
-	p.inverseInto(freq, out)
+	p.inverseInto(s, freq, out)
 }
 
 // inverseInto inverse-transforms freq, whose rows are in bit-reversed order,
@@ -235,15 +243,16 @@ func (p *Plan) InverseSpec(s *Scratch, freq []complex128, out []float64) {
 // output rows are reconstructed: the padded tail rows are about to be
 // discarded, so their inverse row transforms are skipped entirely. Each row
 // transform unpacks only its W kept samples, straight into out, applying
-// the row and then the column normalization.
-func (p *Plan) inverseInto(freq []complex128, out []float64) {
+// the row and then the column normalization. The row transforms run
+// through the row buffer of s.
+func (p *Plan) inverseInto(s *Scratch, freq []complex128, out []float64) {
 	if len(out) != p.W*p.H {
 		panic(fmt.Sprintf("fft: out length %d != %dx%d", len(out), p.W, p.H))
 	}
 	colStages(freq, p.HW, p.PH, p.twCol, true, p.vec)
 	norm := 1 / float64(p.PH)
 	for y := 0; y < p.H; y++ {
-		irfftRow(out[y*p.W:(y+1)*p.W], freq[y*p.HW:(y+1)*p.HW], p.twHalf, p.twRow, norm, p.vec)
+		irfftRow(out[y*p.W:(y+1)*p.W], freq[y*p.HW:(y+1)*p.HW], s.row, p.twHalf, p.twRow, norm, p.vec)
 	}
 }
 

@@ -31,9 +31,9 @@ func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // transformWith runs the in-place radix-2 transform of x against
 // precomputed tables; len(x) must equal tw.n. No normalization is applied.
-// vec selects the AVX butterfly kernel for the stages wide enough to
-// vectorize; either way the result is bit-identical (finite inputs).
-func transformWith(x []complex128, tw *twiddles, inverse, vec bool) {
+// It is the scalar engine's transform, and the reference the vector
+// engine's row core (transformInto) is held to bit for bit.
+func transformWith(x []complex128, tw *twiddles, inverse bool) {
 	n := tw.n
 	if len(x) != n {
 		panic(fmt.Sprintf("fft: length %d != table size %d", len(x), n))
@@ -48,27 +48,8 @@ func transformWith(x []complex128, tw *twiddles, inverse, vec bool) {
 		}
 	}
 	tab := tw.fwd
-	stg := tw.stgFwd
 	if inverse {
-		tab, stg = tw.inv, tw.stgInv
-	}
-	if vec && n >= 4 {
-		// First stage (half = 1): single-butterfly blocks with the lone
-		// twiddle tab[0] — too narrow for a two-complex vector, kept as the
-		// exact scalar expression.
-		for k := 0; k < n; k += 2 {
-			a := x[k]
-			b := x[k+1] * tab[0]
-			x[k] = a + b
-			x[k+1] = a - b
-		}
-		// Every remaining stage is whole 32-byte vectors: the stage's
-		// twiddles sit contiguous at stg[half-1] (see stageLayout).
-		for size := 4; size <= n; size <<= 1 {
-			half := size >> 1
-			fftStageAVX(&x[0], n, half, &stg[half-1])
-		}
-		return
+		tab = tw.inv
 	}
 	// Iterative butterflies; stage size s reads the table with stride n/s.
 	for size := 2; size <= n; size <<= 1 {
@@ -84,6 +65,33 @@ func transformWith(x []complex128, tw *twiddles, inverse, vec bool) {
 				ti += step
 			}
 		}
+	}
+}
+
+// transformInto is the vector engine's row core: it writes the transform
+// of the natural-order src into dst (len tw.n >= 4 each, not overlapping)
+// with transformWith's bits. The permutation never runs as a pass of its
+// own. fftFirstSweepAVX reads each block of four at its bit-reversed
+// sources and runs stages half = 1 and 2 on it in registers; the remaining
+// stages run two per sweep (fftStage2AVX), as the column pass does, with
+// fftStageAVX taking an odd last stage. Every stage reads its twiddles
+// from the contiguous stage-major run at stg[half-1].
+func transformInto(dst, src []complex128, tw *twiddles, inverse bool) {
+	n := tw.n
+	if n < 4 || len(dst) != n || len(src) != n {
+		panic(fmt.Sprintf("fft: row core lengths %d/%d for table size %d", len(dst), len(src), n))
+	}
+	stg := tw.stgFwd
+	if inverse {
+		stg = tw.stgInv
+	}
+	fftFirstSweepAVX(&dst[0], &src[0], &tw.rev[0], n, &stg[0])
+	half := 4
+	for ; 4*half <= n; half <<= 2 {
+		fftStage2AVX(&dst[0], n, half, &stg[half-1])
+	}
+	if half < n {
+		fftStageAVX(&dst[0], n, half, &stg[half-1])
 	}
 }
 
@@ -121,10 +129,9 @@ func permuteRows(data []complex128, w int, tw *twiddles) {
 // colStages runs the radix-2 stages of the length-h column transforms of the
 // w x h row-major raster, whose rows must already be in bit-reversed order.
 // The vector engine runs the stages two per sweep (fftRows2AVX, and
-// fftRows1AVX for an odd final stage) over the even-width part of the
-// raster, the first stage included; an odd last column (the Nyquist column
-// of every half spectrum) and the scalar engine's whole raster take the
-// one-stage row loop of rowStages.
+// fftRows1AVX for an odd final stage) over every column, the first stage
+// and an odd last column (the Nyquist column of every half spectrum)
+// included; the scalar engine runs the one-stage row loop of rowStages.
 func colStages(data []complex128, w, h int, tw *twiddles, inverse, vec bool) {
 	if h != tw.n || len(data) != w*h {
 		panic(fmt.Sprintf("fft: %d values for %d columns of length %d (tables %d)", len(data), w, h, tw.n))
@@ -132,30 +139,31 @@ func colStages(data []complex128, w, h int, tw *twiddles, inverse, vec bool) {
 	if h <= 1 {
 		return
 	}
-	tab, stg := tw.fwd, tw.stgFwd
+	if !vec {
+		tab := tw.fwd
+		if inverse {
+			tab = tw.inv
+		}
+		rowStages(data, w, h, tab)
+		return
+	}
+	stg := tw.stgFwd
 	if inverse {
-		tab, stg = tw.inv, tw.stgInv
+		stg = tw.stgInv
 	}
-	c0 := 0
-	if vec && w >= 2 {
-		c0 = w &^ 1
-		half := 1
-		for ; 4*half <= h; half <<= 2 {
-			fftRows2AVX(&data[0], w, c0, h, half, &stg[half-1])
-		}
-		if half < h {
-			fftRows1AVX(&data[0], w, c0, h, half, &stg[half-1])
-		}
+	half := 1
+	for ; 4*half <= h; half <<= 2 {
+		fftRows2AVX(&data[0], w, h, half, &stg[half-1])
 	}
-	if c0 < w {
-		rowStages(data, w, h, c0, tab)
+	if half < h {
+		fftRows1AVX(&data[0], w, h, half, &stg[half-1])
 	}
 }
 
-// rowStages runs every radix-2 stage, one sweep each, down columns
-// [c0, w) of the bit-reversed w x h raster, with transformWith's scalar
-// butterfly applied across whole row pairs.
-func rowStages(data []complex128, w, h, c0 int, tab []complex128) {
+// rowStages runs every radix-2 stage, one sweep each, down the columns of
+// the bit-reversed w x h raster, with transformWith's scalar butterfly
+// applied across whole row pairs.
+func rowStages(data []complex128, w, h int, tab []complex128) {
 	for size := 2; size <= h; size <<= 1 {
 		half := size >> 1
 		step := h / size
@@ -163,8 +171,8 @@ func rowStages(data []complex128, w, h, c0 int, tab []complex128) {
 			ti := 0
 			for k := start; k < start+half; k++ {
 				t := tab[ti]
-				ra := data[k*w+c0 : (k+1)*w]
-				rb := data[(k+half)*w+c0 : (k+half+1)*w]
+				ra := data[k*w : (k+1)*w]
+				rb := data[(k+half)*w : (k+half+1)*w]
 				rb = rb[:len(ra)]
 				for i, a := range ra {
 					b := rb[i] * t

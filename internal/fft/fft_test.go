@@ -308,3 +308,22 @@ func BenchmarkConvolve224(b *testing.B) {
 		p.Convolve(img, kf, out)
 	}
 }
+
+// TestCPUFeaturesMatchProbe: bench records learn the host's vector
+// capabilities from CPUFeatures alone, so it must list exactly what the
+// probe found, FMA3 included (the litho sigmoid kernel needs it).
+func TestCPUFeaturesMatchProbe(t *testing.T) {
+	probed := map[string]bool{"avx": haveAVX, "avx2": haveAVX2, "fma": haveFMA}
+	listed := map[string]bool{}
+	for _, f := range CPUFeatures() {
+		if _, ok := probed[f]; !ok || listed[f] {
+			t.Fatalf("CPUFeatures() = %q: unknown or repeated %q", CPUFeatures(), f)
+		}
+		listed[f] = true
+	}
+	for f, have := range probed {
+		if listed[f] != have {
+			t.Errorf("CPUFeatures() = %q, probe says %s = %v", CPUFeatures(), f, have)
+		}
+	}
+}

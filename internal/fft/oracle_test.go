@@ -10,18 +10,38 @@ import (
 // half-spectrum code with the Plan and serves as its reference: the Plan
 // must agree with it to 1e-9, and its own scalar and vector runs must agree
 // bit for bit. Its column pass is the strip pass the Plan's in-place row
-// pass replaced, which transforms each column with transformWith; that makes
-// it the bitwise reference for transformCols as well.
+// pass replaced, which transforms each column alone with the engine's 1-D
+// transform (transform1D); that makes it the bitwise reference for
+// transformCols as well.
 
 // FFT performs an in-place forward radix-2 transform of x; len(x) must be
 // a power of two.
-func FFT(x []complex128) { transformWith(x, tablesFor(len(x)), false, haveFFTASM) }
+func FFT(x []complex128) { transformWith(x, tablesFor(len(x)), false) }
 
 // IFFT inverts FFT, including the 1/N normalization.
 func IFFT(x []complex128) {
-	transformWith(x, tablesFor(len(x)), true, haveFFTASM)
+	transformWith(x, tablesFor(len(x)), true)
 	scale(x, 1/float64(len(x)))
 }
+
+// transform1D transforms x in place on one engine: the scalar transformWith,
+// or the vector engine's row core (transformInto), which reads its source
+// at bit-reversed positions and so runs from a copy of x in tmp (len(tmp)
+// >= len(x)). Below 4 points both engines run transformWith, as the plan's
+// rows do.
+func transform1D(x []complex128, tw *twiddles, inverse, vec bool, tmp []complex128) {
+	if !vec || len(x) < 4 {
+		transformWith(x, tw, inverse)
+		return
+	}
+	src := tmp[:len(x)]
+	copy(src, x)
+	transformInto(x, src, tw, inverse)
+}
+
+// stripLen is the strip scratch transform2D takes for a w x h raster: the
+// column strip, plus room for transform1D's copy of a row.
+func stripLen(w, h int) int { return colBlock*h + w }
 
 // scale multiplies every element by s (exact for s = 1/n, n a power of two).
 func scale(x []complex128, s float64) {
@@ -47,27 +67,28 @@ func getStrip(n int) *[]complex128 {
 
 // FFT2D transforms a w x h row-major complex raster in place.
 func FFT2D(data []complex128, w, h int) {
-	strip := getStrip(colBlock * h)
+	strip := getStrip(stripLen(w, h))
 	transform2D(data, w, h, false, *strip, haveFFTASM)
 	stripPool.Put(strip)
 }
 
 // IFFT2D inverts FFT2D, including normalization.
 func IFFT2D(data []complex128, w, h int) {
-	strip := getStrip(colBlock * h)
+	strip := getStrip(stripLen(w, h))
 	transform2D(data, w, h, true, *strip, haveFFTASM)
 	stripPool.Put(strip)
 }
 
 // transform2D is the full-complex 2-D driver: rows, then columns through
-// the caller's strip col (len >= h).
+// the caller's strip col (len >= h; on the vector engine len >= w for the
+// rows' copies and >= 2h for the columns', which stripLen covers).
 func transform2D(data []complex128, w, h int, inverse bool, col []complex128, vec bool) {
 	if len(data) != w*h {
 		panic(fmt.Sprintf("fft: data length %d != %d x %d", len(data), w, h))
 	}
 	rtw := tablesFor(w)
 	for y := 0; y < h; y++ {
-		transformWith(data[y*w:(y+1)*w], rtw, inverse, vec)
+		transform1D(data[y*w:(y+1)*w], rtw, inverse, vec, col)
 	}
 	if inverse {
 		scale(data, 1/float64(w))
@@ -86,12 +107,21 @@ const colBlock = 8
 
 // stripCols transforms every column of the w x h raster in place using the
 // length-h tables: it gathers as many columns as the strip scratch col
-// holds, runs transformWith on each, and scatters them back. The
-// per-column results are independent of the blocking factor. No
-// normalization is applied.
+// holds, runs transform1D on each, and scatters them back. On the vector
+// engine the last column of col is transform1D's copy. The per-column
+// results are independent of the blocking factor. No normalization is
+// applied.
 func stripCols(data []complex128, w, h int, tw *twiddles, inverse bool, col []complex128, vec bool) {
-	if len(col) < h {
-		panic(fmt.Sprintf("fft: column scratch %d < %d", len(col), h))
+	need := h
+	if vec {
+		need = 2 * h
+	}
+	if len(col) < need {
+		panic(fmt.Sprintf("fft: column scratch %d < %d", len(col), need))
+	}
+	var tmp []complex128
+	if vec {
+		col, tmp = col[:len(col)-h], col[len(col)-h:]
 	}
 	nb := len(col) / h
 	if nb > w {
@@ -110,7 +140,7 @@ func stripCols(data []complex128, w, h int, tw *twiddles, inverse bool, col []co
 			}
 		}
 		for j := 0; j < b; j++ {
-			transformWith(blk[j*h:(j+1)*h], tw, inverse, vec)
+			transform1D(blk[j*h:(j+1)*h], tw, inverse, vec, tmp)
 		}
 		for y := 0; y < h; y++ {
 			row := data[y*w+x0 : y*w+x0+b]
@@ -132,7 +162,7 @@ type complexOracle struct {
 func newComplexOracle(p *Plan, vec bool) *complexOracle {
 	n := p.PW * p.PH
 	return &complexOracle{p: p, vec: vec, spec: make([]complex128, n),
-		buf: make([]complex128, n), col: make([]complex128, colBlock*p.PH)}
+		buf: make([]complex128, n), col: make([]complex128, stripLen(p.PW, p.PH))}
 }
 
 // kernel returns the full spectrum of the wrapped kernel.

@@ -22,7 +22,14 @@ import "fmt"
 // On the vector engine (see asm.go) the pack, the untangle/repack pair
 // loop, and the inverse unpack run through the AVX kernels two bins per
 // iteration; the edge bins 0, m, and m/2, the odd leftover pair and an odd
-// output width's last sample stay on the scalar expressions, and both
+// output width's last sample stay on the scalar expressions. The
+// half-length core transform of rows with m >= 4 is the row core
+// (transformInto), which reads its natural-order input at bit-reversed
+// positions and so cannot run in place: the forward transform packs into
+// the caller's m-complex row buffer and the core writes the packed
+// spectrum into dst, and the inverse repacks in place and the core writes
+// the buffer, which the unpack then reads. The scalar engine, and rows
+// with m < 4, pack, transform and unpack in place with transformWith. Both
 // engines produce bit-identical rows.
 
 // rfftLen returns the half-spectrum length of an n-point real transform.
@@ -41,8 +48,10 @@ func untangleVecPairs(m int) int {
 
 // rfftRow computes the n-point DFT of the n reals in src (n = twN.n) into
 // dst[0:n/2+1]. twM must be the tables for n/2. src may be shorter than n;
-// the tail is treated as zeros (callers pad rasters implicitly).
-func rfftRow(dst []complex128, src []float64, twM, twN *twiddles, vec bool) {
+// the tail is treated as zeros (callers pad rasters implicitly). buf is the
+// vector engine's packing row (len >= n/2); the scalar engine does not
+// touch it.
+func rfftRow(dst []complex128, src []float64, buf []complex128, twM, twN *twiddles, vec bool) {
 	n := twN.n
 	m := n / 2
 	if len(dst) < m+1 {
@@ -56,8 +65,13 @@ func rfftRow(dst []complex128, src []float64, twM, twN *twiddles, vec bool) {
 		dst[0] = complex(v, 0)
 		return
 	}
-	// Pack pairs of reals into the first m slots of dst, zero-extending.
+	// Pack pairs of reals into m slots, zero-extending: the first m slots
+	// of dst for an in-place core transform, or buf for the row core.
+	core := vec && m >= 4
 	z := dst[:m]
+	if core {
+		z = buf[:m]
+	}
 	j0 := 0
 	if vec {
 		// Whole pairs are a reinterpreting copy; the kernel streams them
@@ -82,7 +96,12 @@ func rfftRow(dst []complex128, src []float64, twM, twN *twiddles, vec bool) {
 		}
 		z[j] = complex(re, im)
 	}
-	transformWith(z, twM, false, vec)
+	if core {
+		transformInto(dst[:m], z, twM, false)
+		z = dst[:m]
+	} else {
+		transformWith(z, twM, false)
+	}
 	// Untangle: with A = Z[k], B = conj(Z[m-k]),
 	//   X[k]   = (A+B)/2 + W_n^k * (-i)(A-B)/2
 	//   X[m-k] = conj((A+B)/2 - W_n^k * (-i)(A-B)/2)
@@ -119,8 +138,10 @@ func rfftRow(dst []complex128, src []float64, twM, twN *twiddles, vec bool) {
 // irfftRow(rfftRow(x)) == x up to rounding when norm is 1. A 2-D inverse
 // passes its column normalization as norm and its image width as
 // len(dst), so the kept samples land straight in the output row and the
-// padding columns are never unpacked.
-func irfftRow(dst []float64, src []complex128, twM, twN *twiddles, norm float64, vec bool) {
+// padding columns are never unpacked. buf is the vector engine's row core
+// output (len >= n/2), which the unpack reads; the scalar engine does not
+// touch it.
+func irfftRow(dst []float64, src, buf []complex128, twM, twN *twiddles, norm float64, vec bool) {
 	n := twN.n
 	m := n / 2
 	if len(dst) > n {
@@ -162,7 +183,12 @@ func irfftRow(dst []float64, src []complex128, twM, twN *twiddles, norm float64,
 		src[m/2] = complex(real(mid), -imag(mid))
 	}
 	z := src[:m]
-	transformWith(z, twM, true, vec)
+	if vec && m >= 4 {
+		transformInto(buf[:m], z, twM, true)
+		z = buf[:m]
+	} else {
+		transformWith(z, twM, true)
+	}
 	inv := 1 / float64(m)
 	pairs := len(dst) / 2
 	if vec && pairs > 0 {

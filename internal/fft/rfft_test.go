@@ -52,9 +52,9 @@ func TestRFFTRoundTripAccuracy4096(t *testing.T) {
 	}
 	twM, twN := tablesFor(n/2), tablesFor(n)
 	spec := make([]complex128, n/2+1)
-	rfftRow(spec, x, twM, twN, false)
+	rfftRow(spec, x, nil, twM, twN, false)
 	back := make([]float64, n)
-	irfftRow(back, spec, twM, twN, 1, false)
+	irfftRow(back, spec, nil, twM, twN, 1, false)
 	for i := range x {
 		if d := math.Abs(back[i] - x[i]); d > 1e-12 {
 			t.Fatalf("real round-trip error %g at %d exceeds 1e-12", d, i)
@@ -72,9 +72,10 @@ func TestIrfftRowKeptSamples(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8, 16, 64} {
 		twM, twN := tablesFor(maxInt(n/2, 1)), tablesFor(n)
 		spec := make([]complex128, rfftLen(n))
-		rfftRow(spec, randImage(rng, n), twM, twN, false)
+		rfftRow(spec, randImage(rng, n), nil, twM, twN, false)
 		full := make([]float64, n)
-		irfftRow(full, append([]complex128(nil), spec...), twM, twN, 1, false)
+		irfftRow(full, append([]complex128(nil), spec...), nil, twM, twN, 1, false)
+		buf := make([]complex128, n/2)
 		for w := 0; w <= n; w++ {
 			want := make([]float64, w)
 			for x := range want {
@@ -82,7 +83,7 @@ func TestIrfftRowKeptSamples(t *testing.T) {
 			}
 			for _, vec := range []bool{false, haveFFTASM} {
 				got := make([]float64, w)
-				irfftRow(got, append([]complex128(nil), spec...), twM, twN, norm, vec)
+				irfftRow(got, append([]complex128(nil), spec...), buf, twM, twN, norm, vec)
 				diffFloat(t, "irfft kept "+itoa(n)+"/"+itoa(w), got, want)
 			}
 		}
@@ -102,7 +103,7 @@ func TestRFFTMatchesDFT(t *testing.T) {
 		}
 		want := naiveDFT(cx)
 		got := make([]complex128, n/2+1)
-		rfftRow(got, x, tablesFor(max(n/2, 1)), tablesFor(n), false)
+		rfftRow(got, x, nil, tablesFor(max(n/2, 1)), tablesFor(n), false)
 		for k := range got {
 			if d := cmplx.Abs(got[k] - want[k]); d > 1e-9 {
 				t.Fatalf("n=%d: RFFT[%d] = %v, DFT = %v (|diff| %g)", n, k, got[k], want[k], d)
@@ -144,7 +145,7 @@ func TestRFFTParseval(t *testing.T) {
 		tEnergy += x[i] * x[i]
 	}
 	spec := make([]complex128, n/2+1)
-	rfftRow(spec, x, tablesFor(n/2), tablesFor(n), false)
+	rfftRow(spec, x, nil, tablesFor(n/2), tablesFor(n), false)
 	var fEnergy float64
 	for k, v := range spec {
 		e := real(v)*real(v) + imag(v)*imag(v)

@@ -37,8 +37,9 @@ func PlanFor(w, h, kw, kh int) *Plan {
 }
 
 // TransformKernelWith is TransformKernel for callers holding a Scratch. The
-// kernel transform needs no workspace (the column pass runs in place), so s
-// is not used.
+// kernel transform needs no workspace of the caller's (the column pass runs
+// in place, and TransformKernel allocates its own row buffer), so s is not
+// used.
 func (p *Plan) TransformKernelWith(s *Scratch, kernel []float64) []complex128 {
 	return p.TransformKernel(kernel)
 }

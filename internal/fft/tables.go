@@ -27,11 +27,12 @@ type twiddles struct {
 	// half-size h reads fwd with stride n/(2h), so its h constants are
 	// scattered across the table; here they are copied out per stage into
 	// one contiguous run at offset h-1 (stages h = 1, 2, 4, … concatenate
-	// to n-1 entries), which is what lets fftStageAVX issue plain 32-byte
-	// vector loads, and lets the column pass's two-stage kernel find stage
-	// 2h's run right after stage h's. The values are the same Sincos-sampled
-	// constants bit for bit. Built only on hosts that can run the vector
-	// engine, for every n >= 2; nil elsewhere.
+	// to n-1 entries), which is what lets the row kernels issue plain
+	// 32-byte vector loads (fftFirstSweepAVX reads stages 1 and 2 as
+	// stg[0:3]), and lets the two-stage kernels of rows and columns find
+	// stage 2h's run right after stage h's. The values are the same
+	// Sincos-sampled constants bit for bit. Built only on hosts that can
+	// run the vector engine, for every n >= 2; nil elsewhere.
 	stgFwd []complex128
 	stgInv []complex128
 }

@@ -3,6 +3,7 @@ package litho
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -113,6 +114,75 @@ func TestDihedralCommutesWithAerial(t *testing.T) {
 				tsim.AerialBackward(tgradI, moved, tgrad)
 				want, _, _ = d.apply(grad, c.w, c.h)
 				requireNear(t, d.name+" backward", tgrad, want)
+			}
+		})
+	}
+}
+
+// shifted returns the row-major w x h raster src moved right by dx and down
+// by dy whole pixels (both >= 0), zero-filled behind; what moves past the
+// far edges is dropped.
+func shifted(src []float64, w, h, dx, dy int) []float64 {
+	dst := make([]float64, len(src))
+	for y := 0; y+dy < h; y++ {
+		copy(dst[(y+dy)*w+dx:(y+dy+1)*w], src[y*w:y*w+w-dx])
+	}
+	return dst
+}
+
+// TestShiftCommutesWithAerial is the translation counterpart of the
+// dihedral test. A layout patch starts a kernel radius r clear of the top
+// and left borders and moves by whole pixels until it touches the right
+// border, the bottom one, or both. Zero-padded "same" convolution commutes
+// with that shift: the unshifted image and gradient are zero for r pixels
+// beyond the patch, so nothing the shifted ones hold comes from outside
+// the raster. The aerial image, the per-kernel fields and the
+// AerialBackward gradient (fed an image gradient on the patch, moved with
+// it) must therefore move by the same pixels, zero-filled behind. The
+// rasters pad to a 256x256 plan at 4 nm and a 128x128 one at 8 nm; a plan
+// padded short of side+r (128 or 64) would make the convolution circular
+// and wrap the moved patch's image around onto the top and left rows,
+// where the reference is zero. A centred test cannot see that wrap.
+func TestShiftCommutesWithAerial(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		side, patch int
+		p           Params
+	}{{"128px@4nm", 128, 24, DefaultParams()}, {"64px@8nm", 64, 12, FastParams()}} {
+		t.Run(c.name, func(t *testing.T) {
+			n := c.side
+			r := (MaxKernelSize(BuildKernelBank(c.p)) - 1) / 2
+			sim, err := NewSimulator(n, n, c.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			simulate := func(mask, gradI []float64) (aerial []float64, fields *Fields, grad []float64) {
+				aerial, fields, grad = make([]float64, n*n), sim.NewFields(), make([]float64, n*n)
+				sim.Aerial(mask, aerial, fields)
+				sim.AerialBackward(gradI, fields, grad)
+				return aerial, fields, grad
+			}
+			rng := rand.New(rand.NewSource(41))
+			mask := make([]float64, n*n)
+			gradI := make([]float64, n*n)
+			for y := r; y < r+c.patch; y++ {
+				for x := r; x < r+c.patch; x++ {
+					mask[y*n+x] = rng.Float64()
+					gradI[y*n+x] = rng.NormFloat64()
+				}
+			}
+			aerial, fields, grad := simulate(mask, gradI)
+
+			d := n - r - c.patch // moves the patch onto the far border
+			for _, s := range [][2]int{{d, d}, {d, 1}, {2, d}} {
+				move := func(src []float64) []float64 { return shifted(src, n, n, s[0], s[1]) }
+				label := "shift " + strconv.Itoa(s[0]) + "," + strconv.Itoa(s[1])
+				saerial, sfields, sgrad := simulate(move(mask), move(gradI))
+				requireNear(t, label+" aerial", saerial, move(aerial))
+				for k, amp := range fields.Amp {
+					requireNear(t, label+" field "+strconv.Itoa(k), sfields.Amp[k], move(amp))
+				}
+				requireNear(t, label+" backward", sgrad, move(grad))
 			}
 		})
 	}

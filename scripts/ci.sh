@@ -52,15 +52,24 @@ go test -run='^$' -fuzz='^FuzzJobSpec$' -fuzztime=10s ./internal/serve
 # Compute-engine gates: alloc-regression tests on the ILT and NN hot paths,
 # and 100-iteration smokes of the FFT and GEMM benchmarks, which include the
 # A/B comparisons against the reference engines the tests keep as oracles
-# (full-complex FFT, naive GEMM).
+# (full-complex FFT, naive GEMM). BenchmarkAerialCell, one Aerial plus one
+# AerialBackward on the 4 nm and 8 nm cell rasters, is the benchmark that
+# sizes a row- or column-pass FFT change; its smoke keeps it running.
 go test -timeout 120s -run='ZeroAlloc|SteadyStateAllocs|HotPathZeroAlloc' ./internal/fft ./internal/litho ./internal/ilt ./internal/nn ./internal/tensor ./internal/par ./internal/model
 go test -run='^$' -bench='^BenchmarkFFT' -benchtime=100x ./internal/fft
+go test -run='^$' -bench='^BenchmarkAerialCell$' -benchtime=20x ./internal/litho
 go test -run='^$' -bench='^BenchmarkGEMM' -benchtime=100x ./internal/tensor
 
 # Vector-kernel gates. go vet's asmdecl pass cross-checks every assembly
 # function against its Go declaration (frame size, argument offsets); run it
 # explicitly over the packages carrying the .s files (FFT, sigmoid, GEMM) so
 # the gate is visible even if the repo-wide vet above ever narrows. The FFT
+# row core (fftFirstSweepAVX's bit-reversed reads and radix-2x2 first sweep,
+# fftStage2AVX's two stages per sweep) is held to the scalar transformWith
+# by TestVecTransformBitIdentical and TestVecRFFTRowBitIdentical on rows
+# planted with signed zeros and subnormals, and on zero-only rows, in the
+# full suite above; the column kernels fftRows2AVX/fftRows1AVX, Nyquist
+# column included, by TestColumnPassMatchesStripOracle. The FFT
 # engine-equivalence, sigmoid and GEMM fuzz seeds get a smoke run; FuzzGEMM
 # holds the register-tiled GEMM kernel, masked column tail included, to the
 # naive loops bitwise. The sigmoid kernel mirrors math.Exp's FMA branch;
