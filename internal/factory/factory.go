@@ -392,25 +392,24 @@ func allDone(states []shardState) bool {
 }
 
 // parseShardName splits "shard_00042.lease" into (42, ".lease", true). The
-// parse is strict — exactly five digits, exactly one known suffix — so
-// "shard_00042.gob.quarantined" and friends never masquerade as state.
+// parse is strict — the index spelled exactly as the %05d writers spell it,
+// exactly one known suffix — so "shard_00042.gob.quarantined",
+// "shard_42.gob" and friends never masquerade as state, while indices past
+// 99999, which %05d writes with more digits, still parse.
 func parseShardName(name string) (int, string, bool) {
-	const prefix = "shard_"
-	if !strings.HasPrefix(name, prefix) {
+	rest, ok := strings.CutPrefix(name, "shard_")
+	dot := strings.IndexByte(rest, '.')
+	if !ok || dot < 0 {
 		return 0, "", false
 	}
-	rest := name[len(prefix):]
-	if len(rest) < 6 {
-		return 0, "", false
-	}
-	digits, suffix := rest[:5], rest[5:]
+	digits, suffix := rest[:dot], rest[dot:]
 	switch suffix {
 	case ".gob", ".lease", ".poison", ".crash", ".attempts":
 	default:
 		return 0, "", false
 	}
 	i, err := strconv.Atoi(digits)
-	if err != nil || i < 0 || digits[0] == '+' || digits[0] == '-' {
+	if err != nil || i < 0 || fmt.Sprintf("%05d", i) != digits {
 		return 0, "", false
 	}
 	return i, suffix, true

@@ -22,10 +22,17 @@ func ASMEnabled() bool { return haveFFTASM }
 // can run.
 func HasFMA() bool { return haveFMA }
 
+// HasAVX512F reports whether the host can execute AVX-512F instructions
+// (CPUID AVX512F with OS-saved opmask and ZMM state). The spectral kernels
+// never use them; the GEMM engine reads this to pick its 4x16 register
+// tile, so the probe that picks the tile is the one CPUFeatures lists.
+func HasAVX512F() bool { return haveAVX512F }
+
 // CPUFeatures lists the detected vector capabilities ("avx", "avx2",
-// "fma") for bench records, so timing numbers are interpretable across
-// hosts: the spectral kernels need AVX2, and the litho sigmoid kernel FMA3
-// as well.
+// "fma", "avx512f") for bench records, so timing numbers are interpretable
+// across hosts: the spectral kernels need AVX2, the litho sigmoid kernel
+// FMA3 as well, and the GEMM engine runs its AVX-512 tile on "avx512f"
+// hosts and its AVX tile on the others that list "avx".
 func CPUFeatures() []string {
 	var f []string
 	if haveAVX {
@@ -36,6 +43,9 @@ func CPUFeatures() []string {
 	}
 	if haveFMA {
 		f = append(f, "fma")
+	}
+	if haveAVX512F {
+		f = append(f, "avx512f")
 	}
 	return f
 }

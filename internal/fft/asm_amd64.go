@@ -6,17 +6,19 @@ package fft
 // loads into two 128-bit halves, which erases the win on these
 // load-dominated streaming kernels, and AVX2 is the same line the GEMM
 // engine's profitable hosts sit behind in practice. haveFMA (FMA3 with
-// OS-saved YMM state) gates no kernel here; it is probed for HasFMA.
-var haveAVX, haveAVX2, haveFMA = cpuFeatureProbe()
+// OS-saved YMM state) and haveAVX512F (AVX-512F with OS-saved opmask and
+// ZMM state) gate no kernel here; they are probed for HasFMA and
+// HasAVX512F.
+var haveAVX, haveAVX2, haveFMA, haveAVX512F = cpuFeatureProbe()
 
 // haveFFTASM reports whether the vector spectral kernels can run on this
 // host, which is exactly when they do run (see asm.go).
 var haveFFTASM = haveAVX && haveAVX2
 
 // cpuFeatureProbe reports CPU+OS support for 256-bit AVX (CPUID feature
-// flags plus XCR0 state enablement), AVX2 and FMA3. Implemented in
-// asm_amd64.s.
-func cpuFeatureProbe() (avx, avx2, fma bool)
+// flags plus XCR0 state enablement), AVX2, FMA3 and AVX-512F. Implemented
+// in asm_amd64.s.
+func cpuFeatureProbe() (avx, avx2, fma, avx512f bool)
 
 // fftStageAVX runs one whole radix-2 butterfly stage (stage half >= 2) over
 // the n-element array at x, reading the stage's contiguous twiddle run at

@@ -43,13 +43,15 @@ GLOBL halfConst<>(SB), RODATA|NOPTR, $8
 DATA negHalfConst<>+0(SB)/8, $-0.5
 GLOBL negHalfConst<>(SB), RODATA|NOPTR, $8
 
-// func cpuFeatureProbe() (avx, avx2, fma bool)
+// func cpuFeatureProbe() (avx, avx2, fma, avx512f bool)
 //
-// Reports AVX/AVX2/FMA support: CPUID.1:ECX must show OSXSAVE (bit 27) and
-// AVX (bit 28), XCR0 must confirm the OS saves XMM+YMM state, AVX2 is
-// CPUID.(7,0):EBX bit 5 — the same probe shape as tensor.cpuidAVX — and FMA
-// is CPUID.1:ECX bit 12, usable only with that same YMM state.
-TEXT ·cpuFeatureProbe(SB), NOSPLIT, $0-3
+// Reports AVX/AVX2/FMA/AVX-512F support: CPUID.1:ECX must show OSXSAVE
+// (bit 27) and AVX (bit 28), XCR0 must confirm the OS saves XMM+YMM state,
+// AVX2 is CPUID.(7,0):EBX bit 5 — the same probe shape as tensor.cpuidAVX —
+// and FMA is CPUID.1:ECX bit 12, usable only with that same YMM state.
+// AVX-512F is CPUID.(7,0):EBX bit 16, usable only when XCR0 also has the
+// opmask, ZMM_Hi256 and Hi16_ZMM bits (5-7) set: XCR0 & 0xE6 == 0xE6.
+TEXT ·cpuFeatureProbe(SB), NOSPLIT, $0-4
 	MOVQ $1, AX
 	XORQ CX, CX
 	CPUID
@@ -66,6 +68,7 @@ TEXT ·cpuFeatureProbe(SB), NOSPLIT, $0-3
 	JZ   none
 	XORL CX, CX
 	XGETBV
+	MOVQ AX, R11       // XCR0
 	ANDQ $6, AX        // XCR0 bits 1..2: XMM and YMM state enabled
 	CMPQ AX, $6
 	JNE  none
@@ -78,11 +81,21 @@ TEXT ·cpuFeatureProbe(SB), NOSPLIT, $0-3
 	SHRQ $5, R8
 	ANDQ $1, R8        // AVX2
 	MOVB R8, avx2+1(FP)
+	ANDQ $0xE6, R11
+	CMPQ R11, $0xE6
+	JNE  nozmm
+	SHRQ $16, BX
+	ANDQ $1, BX        // AVX512F
+	MOVB BX, avx512f+3(FP)
+	RET
+nozmm:
+	MOVB $0, avx512f+3(FP)
 	RET
 none:
 	MOVB $0, avx+0(FP)
 	MOVB $0, avx2+1(FP)
 	MOVB $0, fma+2(FP)
+	MOVB $0, avx512f+3(FP)
 	RET
 
 // func fftStageAVX(x *complex128, n, half int, tw *complex128)

@@ -6,10 +6,11 @@ package fft
 // implementation the vector kernels are bit-identical to; the stubs below
 // are never reachable because haveFFTASM is constant false.
 const (
-	haveAVX    = false
-	haveAVX2   = false
-	haveFMA    = false
-	haveFFTASM = false
+	haveAVX     = false
+	haveAVX2    = false
+	haveFMA     = false
+	haveAVX512F = false
+	haveFFTASM  = false
 )
 
 func fftStageAVX(x *complex128, n, half int, tw *complex128) {

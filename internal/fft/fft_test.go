@@ -311,9 +311,11 @@ func BenchmarkConvolve224(b *testing.B) {
 
 // TestCPUFeaturesMatchProbe: bench records learn the host's vector
 // capabilities from CPUFeatures alone, so it must list exactly what the
-// probe found, FMA3 included (the litho sigmoid kernel needs it).
+// probe found, FMA3 included (the litho sigmoid kernel needs it), and
+// AVX-512F exactly when HasAVX512F, the flag the GEMM engine's tile
+// choice reads. AVX-512F state implies the YMM state AVX needs.
 func TestCPUFeaturesMatchProbe(t *testing.T) {
-	probed := map[string]bool{"avx": haveAVX, "avx2": haveAVX2, "fma": haveFMA}
+	probed := map[string]bool{"avx": haveAVX, "avx2": haveAVX2, "fma": haveFMA, "avx512f": HasAVX512F()}
 	listed := map[string]bool{}
 	for _, f := range CPUFeatures() {
 		if _, ok := probed[f]; !ok || listed[f] {
@@ -325,5 +327,8 @@ func TestCPUFeaturesMatchProbe(t *testing.T) {
 		if listed[f] != have {
 			t.Errorf("CPUFeatures() = %q, probe says %s = %v", CPUFeatures(), f, have)
 		}
+	}
+	if haveAVX512F && !haveAVX {
+		t.Errorf("probe reports AVX-512F without AVX")
 	}
 }

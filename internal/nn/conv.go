@@ -18,14 +18,14 @@ import (
 // All working buffers (column matrix, GEMM output, activations, gradients)
 // are cached on the layer and reused, so Forward and Backward are
 // allocation-free at steady state. A frozen conv (see Network.Freeze) runs
-// Forward only: it borrows its column matrix from the tensor scratch pool
-// for the one GEMM that reads it.
+// Forward only and builds no column matrix: tensor.ConvPacked expands each
+// GEMM panel straight from the input.
 type Conv2D struct {
 	InC, OutC, K, Stride, Pad int
 
-	weight *Param // OutC x (InC*K*K); tensor.MatMulPacked's layout when frozen
+	weight *Param // OutC x (InC*K*K); tensor.ConvPacked's layout when frozen
 	bias   *Param // OutC, optional
-	frozen bool   // inference-only: packed weights, pooled column matrix
+	frozen bool   // inference-only: packed weights, no column matrix
 
 	// cached working set, grown once to steady-state size
 	in      *tensor.Tensor
@@ -70,10 +70,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 	c.gemmOut = ensureF(c.gemmOut, c.OutC*bcols)
 	if c.frozen {
-		col := tensor.GetScratch(ck * bcols)
-		tensor.Im2ColBatch(x.Data, x.N, c.geom, *col)
-		tensor.MatMulPacked(c.weight.Data, c.OutC, ck, *col, bcols, c.gemmOut)
-		tensor.PutScratch(col)
+		tensor.ConvPacked(c.weight.Data, c.OutC, x.Data, x.N, c.geom, c.gemmOut)
 	} else {
 		c.col = ensureF(c.col, ck*bcols)
 		tensor.Im2ColBatch(x.Data, x.N, c.geom, c.col)

@@ -16,11 +16,12 @@ import (
 // per-layer memory passes at inference.
 //
 // Each frozen conv keeps its weight matrix only in the pre-packed layout of
-// tensor.MatMulPacked, packed once here instead of on every forward, and
-// borrows its column matrix from the tensor scratch pool for the length of
-// one forward instead of caching one. Frozen parameters are NoGrad and carry
-// no gradient buffer: a frozen network is inference-only, and Backward
-// through a frozen conv panics. Lane adds concurrent lanes over the same
+// tensor.ConvPacked, packed once here instead of on every forward, and
+// builds no column matrix: the GEMM expands its B panels straight from the
+// input. Frozen ReLU and max-pool layers record no backward state (mask,
+// argmax). Frozen parameters are NoGrad and carry no gradient buffer: a
+// frozen network is inference-only, and Backward through a frozen conv,
+// ReLU or max pool panics. Lane adds concurrent lanes over the same
 // weights.
 //
 // Folding changes rounding (the scale is applied to weights once instead of
@@ -67,9 +68,9 @@ func freezeLayer(l Layer, share bool) Layer {
 			gamma: frozenParam(v.gamma, share), beta: frozenParam(v.beta, share),
 			runMean: frozenParam(v.runMean, share), runVar: frozenParam(v.runVar, share)}
 	case *ReLU:
-		return NewReLU()
+		return &ReLU{frozen: true}
 	case *MaxPool2D:
-		return NewMaxPool2D(v.K, v.Stride, v.Pad)
+		return &MaxPool2D{K: v.K, Stride: v.Stride, Pad: v.Pad, frozen: true}
 	case *GlobalAvgPool:
 		return NewGlobalAvgPool()
 	case *Linear:
@@ -88,7 +89,7 @@ func freezeLayer(l Layer, share bool) Layer {
 func (b *BasicBlock) freeze(share bool) *BasicBlock {
 	nb := &BasicBlock{
 		conv1: foldConvBN(b.conv1, b.bn1, share),
-		relu1: NewReLU(),
+		relu1: &ReLU{frozen: true},
 		conv2: foldConvBN(b.conv2, b.bn2, share),
 	}
 	if b.downConv != nil {
@@ -118,7 +119,7 @@ func frozenParam(p *Param, share bool) *Param {
 
 // foldConvBN returns a frozen conv whose weights and bias absorb the batch
 // norm's inference affine transform (a nil bn folds nothing), with the
-// weights written once into tensor.MatMulPacked's layout. A conv that is
+// weights written once into tensor.ConvPacked's layout. A conv that is
 // already frozen has no batch norm after it; it is copied as it stands, or
 // shared for a lane.
 func foldConvBN(c *Conv2D, bn *BatchNorm2D, share bool) *Conv2D {

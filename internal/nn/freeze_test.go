@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -151,4 +152,77 @@ func TestTrainStepSteadyStateAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(5, step); avg != 0 {
 		t.Fatalf("training step allocates %.1f times per run", avg)
 	}
+}
+
+// plantedActivations fills an n x c x h x w tensor with the values a
+// max-pool or ReLU rewrite most easily resolves differently: +0 and -0
+// (ties whose winner decides the sign bit), NaN, ±Inf, subnormals and a
+// few repeated finite values, plus one plane that is -Inf throughout.
+func plantedActivations(rng *rand.Rand, n, c, h, w int) *tensor.Tensor {
+	x := tensor.New(n, c, h, w)
+	for i := range x.Data {
+		switch rng.Intn(10) {
+		case 0:
+			x.Data[i] = 0
+		case 1:
+			x.Data[i] = math.Copysign(0, -1)
+		case 2:
+			x.Data[i] = math.NaN()
+		case 3:
+			x.Data[i] = math.Inf(-1)
+		case 4:
+			x.Data[i] = math.Inf(1)
+		case 5:
+			x.Data[i] = math.SmallestNonzeroFloat64 * float64(1-2*rng.Intn(2))
+		case 6:
+			x.Data[i] = -1.5
+		default:
+			x.Data[i] = rng.NormFloat64()
+		}
+	}
+	for i := range x.Data[:h*w] {
+		x.Data[i] = math.Inf(-1)
+	}
+	return x
+}
+
+// TestFrozenPoolAndReLUMatchForward pins the frozen max pool and ReLU, which
+// record no argmax or mask, to the training layers' forward bits on planted
+// ±0 ties, NaNs, all -Inf windows and padded borders (windows lying wholly
+// in the padding included), and checks that Backward through either panics.
+func TestFrozenPoolAndReLUMatchForward(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	x := plantedActivations(rng, 2, 3, 11, 9)
+	same := func(what string, got, want *tensor.Tensor) {
+		t.Helper()
+		if !got.SameShape(want) {
+			t.Fatalf("%s: shape %s vs %s", what, got.ShapeString(), want.ShapeString())
+		}
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("%s: out[%d] = %g (frozen) vs %g", what, i, got.Data[i], want.Data[i])
+			}
+		}
+	}
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	for _, g := range [][3]int{{3, 2, 1}, {2, 2, 0}, {3, 1, 1}, {3, 3, 2}, {1, 1, 1}, {4, 2, 3}} {
+		net := NewNetwork(NewMaxPool2D(g[0], g[1], g[2]))
+		frozen := net.Freeze()
+		got := frozen.Forward(x, false)
+		same(fmt.Sprintf("maxpool k%d s%d p%d", g[0], g[1], g[2]), got, net.Forward(x, false))
+		mustPanic("Backward through a frozen max pool", func() { frozen.Backward(got) })
+	}
+	net := NewNetwork(NewReLU())
+	frozen := net.Freeze()
+	got := frozen.Forward(x, false)
+	same("relu", got, net.Forward(x, false))
+	mustPanic("Backward through a frozen ReLU", func() { frozen.Backward(got) })
 }

@@ -8,9 +8,11 @@ import (
 )
 
 // MaxPool2D is a square max pooling layer (the ResNet stem uses 3x3/2 pad 1).
+// A frozen max pool (see Network.Freeze) records no argmax.
 type MaxPool2D struct {
 	K, Stride, Pad int
 
+	frozen bool // inference-only: no argmax, Backward panics
 	in     *tensor.Tensor
 	argmax []int // input index chosen per output element
 	out    *tensor.Tensor
@@ -34,6 +36,10 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	p.outW = (x.W+2*p.Pad-p.K)/p.Stride + 1
 	p.out = tensor.Ensure(p.out, x.N, x.C, p.outH, p.outW)
 	out := p.out
+	if p.frozen {
+		p.forwardFrozen(x)
+		return out
+	}
 	p.argmax = ensureI(p.argmax, out.Len())
 	oi := 0
 	for n := 0; n < x.N; n++ {
@@ -69,8 +75,40 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
+// forwardFrozen is Forward without the argmax record. It clips each
+// window to the input once per output row and column instead of testing
+// every tap, and keeps Forward's ky-then-kx scan with a strict > from -Inf,
+// so ties between ±0, NaNs (never picked) and all -Inf windows resolve
+// exactly as there.
+func (p *MaxPool2D) forwardFrozen(x *tensor.Tensor) {
+	out := p.out.Data
+	for plane := 0; plane < x.N*x.C; plane++ {
+		in := x.Data[plane*x.H*x.W : (plane+1)*x.H*x.W]
+		for oy := 0; oy < p.outH; oy++ {
+			y0 := oy*p.Stride - p.Pad
+			yLo, yHi := max(y0, 0), min(y0+p.K, x.H)
+			for ox := 0; ox < p.outW; ox++ {
+				x0 := ox*p.Stride - p.Pad
+				xLo, xHi := max(x0, 0), min(x0+p.K, x.W)
+				best := math.Inf(-1)
+				for iy := yLo; iy < yHi && xLo < xHi; iy++ {
+					for _, v := range in[iy*x.W+xLo : iy*x.W+xHi] {
+						if v > best {
+							best = v
+						}
+					}
+				}
+				out[(plane*p.outH+oy)*p.outW+ox] = best
+			}
+		}
+	}
+}
+
 // Backward implements Layer.
 func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	if p.frozen {
+		panic("nn: Backward through a frozen max pool")
+	}
 	p.gin = tensor.Ensure(p.gin, p.in.N, p.in.C, p.in.H, p.in.W)
 	gin := p.gin
 	for i := range gin.Data {

@@ -1,8 +1,9 @@
 // Blocked, panel-packed GEMM kernels — the compute core under every conv and
 // linear layer. The engine packs A once into 4-row strips (or takes it
-// pre-packed, see MatMulPacked), blocks B into cache-sized panels (pooled,
-// size-keyed scratch — see scratch.go), and runs a register-tiled
-// micro-kernel over fixed-order strips.
+// pre-packed, see ConvPacked), fills B cache-sized panel by panel (pooled,
+// size-keyed scratch — see scratch.go) either by copying them out of a
+// row-major matrix or by expanding them straight from a conv's NCHW input,
+// and runs a register-tiled micro-kernel over fixed-order strips.
 //
 // Determinism is part of the kernel contract, exactly as for the spectral
 // engine: every output element accumulates its k-products in ascending-k
@@ -20,6 +21,25 @@ const (
 	blockNC = 512 // columns of B packed per panel
 )
 
+// bOperand is the k x n right operand of the blocked driver: the row-major
+// matrix b, or, when imgs is set, the whole-batch column matrix
+// Im2ColBatch would build from the NCHW batch imgs under geometry g.
+type bOperand struct {
+	b    []float64
+	imgs []float64
+	g    ConvGeom
+}
+
+// fill writes the operand's kc x nc panel starting at (pc, jc) into dst,
+// row-major.
+func (o *bOperand) fill(n, pc, jc, kc, nc int, dst []float64) {
+	if o.imgs == nil {
+		packB(o.b, n, pc, jc, kc, nc, dst)
+		return
+	}
+	im2colPanel(o.imgs, o.g, pc, jc, kc, nc, dst)
+}
+
 // packB copies the kc x nc panel of row-major b (full width n) starting at
 // (pc, jc) into contiguous dst, row-major.
 func packB(b []float64, n, pc, jc, kc, nc int, dst []float64) {
@@ -28,8 +48,61 @@ func packB(b []float64, n, pc, jc, kc, nc int, dst []float64) {
 	}
 }
 
+// im2colPanel writes the kc x nc panel starting at (pc, jc) of the
+// whole-batch column matrix of the NCHW batch imgs into dst, row-major:
+// panel row kk is the kernel tap (c, ky, kx) numbered pc+kk, panel column j
+// the output position (image, oy, ox) numbered jc+j, and out-of-bounds
+// taps read 0. Im2ColBatch writes the whole matrix as one panel; the
+// blocked GEMM fills its B panels one at a time without the matrix. Each
+// tap's x-padding clip is hoisted, so a run of positions along one output
+// row is a copy at stride 1 and the clipped fringes are cleared.
+func im2colPanel(imgs []float64, g ConvGeom, pc, jc, kc, nc int, dst []float64) {
+	oh, ow := g.OutH(), g.OutW()
+	plane := g.InH * g.InW
+	imgLen := g.InC * plane
+	taps := g.K * g.K
+	c, ky, kx := pc/taps, pc%taps/g.K, pc%g.K
+	img0, p0 := jc/(oh*ow), jc%(oh*ow)
+	oy0, ox0 := p0/ow, p0%ow
+	for kk := 0; kk < kc; kk++ {
+		oxLo, oxHi := clipRange(ow, g.Stride, kx-g.Pad, g.InW)
+		row := dst[kk*nc : (kk+1)*nc]
+		img, oy, ox := img0, oy0, ox0
+		for i := 0; i < nc; {
+			seg := row[i : i+min(ow-ox, nc-i)]
+			if iy := oy*g.Stride - g.Pad + ky; iy < 0 || iy >= g.InH {
+				clear(seg)
+			} else {
+				lo := min(max(oxLo-ox, 0), len(seg))
+				hi := min(max(oxHi-ox, lo), len(seg))
+				clear(seg[:lo])
+				src := imgs[img*imgLen+c*plane+iy*g.InW+kx-g.Pad+(ox+lo)*g.Stride:]
+				if g.Stride == 1 {
+					copy(seg[lo:hi], src)
+				} else {
+					for j := range seg[lo:hi] {
+						seg[lo+j] = src[j*g.Stride]
+					}
+				}
+				clear(seg[hi:])
+			}
+			i += len(seg)
+			ox = 0
+			if oy++; oy == oh {
+				oy, img = 0, img+1
+			}
+		}
+		if kx++; kx == g.K {
+			kx, ky = 0, ky+1
+			if ky == g.K {
+				ky, c = 0, c+1
+			}
+		}
+	}
+}
+
 // packA writes the m x k matrix A into dst (len m*k) in the strip-interleaved
-// layout MatMulPacked documents: strip s (rows 4s.., mr = min(4, m-4s) of
+// layout ConvPacked documents: strip s (rows 4s.., mr = min(4, m-4s) of
 // them) occupies dst[4s*k : 4s*k+mr*k] and holds A[4s+r][kk] at offset
 // kk*mr + r, so a kc-deep panel starting at column pc is the contiguous run
 // from offset pc*mr. A is row-major m x k, or stored k x m and read
@@ -75,16 +148,20 @@ func kern4(apack []float64, kc int, bpack []float64, nc int, c0, c1, c2, c3 []fl
 	}
 }
 
-// kern4Strip runs the full-width 4-row strip, on the register-tiled vector
-// kernel when the host has AVX. Both paths accumulate each element in
+// kern4Strip runs the full-width 4-row strip on the widest register tile
+// the host runs: 4x16 in ZMM registers with AVX-512F, 4x8 in YMM registers
+// with AVX, else the Go kernel. All three accumulate each element in
 // ascending-k order with scalar mul-then-add rounding, so they are
 // bit-identical.
 func kern4Strip(apack []float64, kc int, bpack []float64, nc int, c0, c1, c2, c3 []float64) {
-	if haveAVX {
+	switch {
+	case haveAVX512:
+		kern4x16AVX512(&apack[0], &bpack[0], &c0[0], &c1[0], &c2[0], &c3[0], kc, nc)
+	case haveAVX:
 		kern4x8AVX(&apack[0], &bpack[0], &c0[0], &c1[0], &c2[0], &c3[0], kc, nc)
-		return
+	default:
+		kern4(apack, kc, bpack, nc, c0, c1, c2, c3)
 	}
-	kern4(apack, kc, bpack, nc, c0, c1, c2, c3)
 }
 
 // kernN is the remainder kernel for 1..3 packed rows; row r of C starts at
@@ -108,15 +185,15 @@ func gemmPacked(a []float64, transA bool, m, k int, b []float64, n int, out []fl
 	abuf := getBuf(m * k)
 	ap := (*abuf)[:m*k]
 	packA(a, transA, m, k, ap)
-	gemmPrepacked(ap, m, k, b, n, out)
+	gemmPrepacked(ap, m, k, &bOperand{b: b}, n, out)
 	putBuf(abuf)
 }
 
 // gemmPrepacked is the blocked driver for out = A x B with A in packA's
-// layout. out is m x n row-major and is zeroed here; panels are processed
-// in ascending jc, pc order and rows in ascending strips, so accumulation
-// per element is ascending-k.
-func gemmPrepacked(ap []float64, m, k int, b []float64, n int, out []float64) {
+// layout and B the k x n operand src. out is m x n row-major and is zeroed
+// here; panels are processed in ascending jc, pc order and rows in
+// ascending strips, so accumulation per element is ascending-k.
+func gemmPrepacked(ap []float64, m, k int, src *bOperand, n int, out []float64) {
 	clear(out[:m*n])
 	bbuf := getBuf(blockKC * blockNC)
 	bpack := (*bbuf)[:blockKC*blockNC]
@@ -124,7 +201,7 @@ func gemmPrepacked(ap []float64, m, k int, b []float64, n int, out []float64) {
 		nc := min(blockNC, n-jc)
 		for pc := 0; pc < k; pc += blockKC {
 			kc := min(blockKC, k-pc)
-			packB(b, n, pc, jc, kc, nc, bpack)
+			src.fill(n, pc, jc, kc, nc, bpack)
 			for i0 := 0; i0 < m; i0 += 4 {
 				mr := min(4, m-i0)
 				apanel := ap[i0*k+pc*mr : i0*k+(pc+kc)*mr]

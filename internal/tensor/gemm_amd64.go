@@ -1,9 +1,17 @@
 package tensor
 
+import "ldmo/internal/fft"
+
 // haveAVX gates the SIMD micro-kernels. Detected once at init; when the host
 // lacks AVX (or the OS doesn't save YMM state) the pure-Go kernels run
 // instead, producing bit-identical results.
 var haveAVX = cpuidAVX()
+
+// haveAVX512 gates the AVX-512 register tile. It is the fft package's probe
+// (AVX512F with OS-saved opmask and ZMM state), the one that lists
+// "avx512f" in fft.CPUFeatures, so every bench record names the tile that
+// ran.
+var haveAVX512 = fft.HasAVX512F()
 
 // cpuidAVX reports CPU+OS support for 256-bit AVX (CPUID feature flags plus
 // XCR0 state enablement). Implemented in gemm_amd64.s.
@@ -17,6 +25,13 @@ func cpuidAVX() bool
 //
 //go:noescape
 func kern4x8AVX(apack, bpack, c0, c1, c2, c3 *float64, kc, nc int)
+
+// kern4x16AVX512 is kern4x8AVX's contract on 4x16 C tiles held in ZMM
+// registers, with the last 1..15 columns under an opmask. kc must be
+// positive. Implemented in gemm_amd64.s.
+//
+//go:noescape
+func kern4x16AVX512(apack, bpack, c0, c1, c2, c3 *float64, kc, nc int)
 
 // dot4x4AVX computes a 4x4 tile of A x B^T: o_r[0..3] = sum_kk a_r[kk] *
 // bpack[kk*4+s], accumulated in registers over ascending kk and stored as

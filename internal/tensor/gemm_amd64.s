@@ -1,5 +1,5 @@
-// AVX kernels for the blocked GEMM engine. Vector lanes always map to
-// DIFFERENT output elements (four adjacent output columns), never to the
+// AVX and AVX-512 kernels for the blocked GEMM engine. Vector lanes always
+// map to DIFFERENT output elements (adjacent output columns), never to the
 // k-dimension, and products use separate VMULPD/VADDPD (no FMA): each output
 // element therefore accumulates its k-products one at a time, in ascending-k
 // order, with exactly the scalar mul-then-add rounding — which is what keeps
@@ -180,6 +180,120 @@ km:
 	VMASKMOVPD Y1, Y9, (R9)(SI*1)
 	VMASKMOVPD Y2, Y9, (R10)(SI*1)
 	VMASKMOVPD Y3, Y9, (R11)(SI*1)
+
+done:
+	VZEROUPPER
+	RET
+
+// func kern4x16AVX512(apack, bpack, c0, c1, c2, c3 *float64, kc, nc int)
+//
+// kern4x8AVX's contract on the AVX-512 register file: for ascending kk in
+// [0, kc), c_r[j] += apack[kk*4+r] * bpack[kk*nc+j] for every j < nc, with
+// the same MULADD per element. Each 16-column block loads its 4x16 C tile
+// into Z0-Z7 once, runs all kc steps on it (2 B loads, 4 broadcasts, 8
+// multiplies, 8 adds per step) and stores it once. The last 1..15 columns
+// run as one or two blocks of at most 8 columns (Z0, Z2, Z4, Z6) under the
+// opmask K1 on the C and B accesses: masked lanes load as 0 and are never
+// written. The k-loop heads sit on 64-byte boundaries, so where the linker
+// places the function cannot move them. kc must be positive.
+TEXT ·kern4x16AVX512(SB), NOSPLIT, $0-64
+	MOVQ bpack+8(FP), BX
+	MOVQ c0+16(FP), R8
+	MOVQ c1+24(FP), R9
+	MOVQ c2+32(FP), R10
+	MOVQ c3+40(FP), R11
+	MOVQ nc+56(FP), R12
+	SHLQ $3, R12       // bpack row stride in bytes
+	MOVQ R12, R13
+	ANDQ $-128, R13    // bytes covered by whole 16-column blocks
+	XORQ SI, SI        // byte offset of the current column block
+
+blk16:
+	CMPQ SI, R13
+	JGE  tail
+	VMOVUPD (R8)(SI*1), Z0
+	VMOVUPD 64(R8)(SI*1), Z1
+	VMOVUPD (R9)(SI*1), Z2
+	VMOVUPD 64(R9)(SI*1), Z3
+	VMOVUPD (R10)(SI*1), Z4
+	VMOVUPD 64(R10)(SI*1), Z5
+	VMOVUPD (R11)(SI*1), Z6
+	VMOVUPD 64(R11)(SI*1), Z7
+	MOVQ apack+0(FP), AX
+	LEAQ (BX)(SI*1), DI
+	MOVQ kc+48(FP), DX
+	PCALIGN $64
+k16:
+	VMOVUPD (DI), Z8
+	VMOVUPD 64(DI), Z9
+	VBROADCASTSD (AX), Z10
+	MULADD(Z8, Z10, Z14, Z0)
+	MULADD(Z9, Z10, Z15, Z1)
+	VBROADCASTSD 8(AX), Z11
+	MULADD(Z8, Z11, Z14, Z2)
+	MULADD(Z9, Z11, Z15, Z3)
+	VBROADCASTSD 16(AX), Z12
+	MULADD(Z8, Z12, Z14, Z4)
+	MULADD(Z9, Z12, Z15, Z5)
+	VBROADCASTSD 24(AX), Z13
+	MULADD(Z8, Z13, Z14, Z6)
+	MULADD(Z9, Z13, Z15, Z7)
+	ADDQ $32, AX
+	ADDQ R12, DI
+	DECQ DX
+	JNZ  k16
+	VMOVUPD Z0, (R8)(SI*1)
+	VMOVUPD Z1, 64(R8)(SI*1)
+	VMOVUPD Z2, (R9)(SI*1)
+	VMOVUPD Z3, 64(R9)(SI*1)
+	VMOVUPD Z4, (R10)(SI*1)
+	VMOVUPD Z5, 64(R10)(SI*1)
+	VMOVUPD Z6, (R11)(SI*1)
+	VMOVUPD Z7, 64(R11)(SI*1)
+	ADDQ $128, SI
+	JMP  blk16
+
+tail:
+	MOVQ R12, CX
+	SUBQ SI, CX        // bytes left: 0..120
+	JZ   done
+	SHRQ $3, CX        // columns left: 1..15
+	CMPQ CX, $8
+	JLE  masked
+	MOVQ $8, CX
+masked:
+	MOVL $1, DX
+	SHLL CX, DX
+	DECL DX
+	KMOVW DX, K1       // lane mask: the first CX lanes
+	VMOVUPD.Z (R8)(SI*1), K1, Z0
+	VMOVUPD.Z (R9)(SI*1), K1, Z2
+	VMOVUPD.Z (R10)(SI*1), K1, Z4
+	VMOVUPD.Z (R11)(SI*1), K1, Z6
+	MOVQ apack+0(FP), AX
+	LEAQ (BX)(SI*1), DI
+	MOVQ kc+48(FP), DX
+	PCALIGN $64
+km:
+	VMOVUPD.Z (DI), K1, Z8
+	VBROADCASTSD (AX), Z10
+	MULADD(Z8, Z10, Z14, Z0)
+	VBROADCASTSD 8(AX), Z11
+	MULADD(Z8, Z11, Z15, Z2)
+	VBROADCASTSD 16(AX), Z12
+	MULADD(Z8, Z12, Z14, Z4)
+	VBROADCASTSD 24(AX), Z13
+	MULADD(Z8, Z13, Z15, Z6)
+	ADDQ $32, AX
+	ADDQ R12, DI
+	DECQ DX
+	JNZ  km
+	VMOVUPD Z0, K1, (R8)(SI*1)
+	VMOVUPD Z2, K1, (R9)(SI*1)
+	VMOVUPD Z4, K1, (R10)(SI*1)
+	VMOVUPD Z6, K1, (R11)(SI*1)
+	LEAQ (SI)(CX*8), SI
+	JMP  tail
 
 done:
 	VZEROUPPER

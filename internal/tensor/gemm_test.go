@@ -68,11 +68,13 @@ func randSlice(rng *rand.Rand, n int) []float64 {
 // gemmShapes are the randomized-property shapes: every remainder class of the
 // 4-row strips and 4x4 dot tiles, the k=1/n=1/m=1 edges, and sizes spanning
 // one panel up to several blocking panels in every dimension. The vector
-// kernel's paths each get a shape: n = 8..15 covers every column residue
-// mod 8 (8-column blocks, the 4-column block, the masked 1..3 tail),
-// n = 49 is six blocks plus one masked column (stage 4 at batch 1), n = 196
-// ends on a 4-column block, k = 257 and 515 reach a second and third kc
-// panel, and m not a multiple of 4 runs the remainder kernel.
+// kernels' paths each get a shape: n = 8..31 covers every column residue
+// mod 16 and mod 8 (the AVX-512 tile's 16-column blocks and masked 1..15
+// tail, the AVX tile's 8-column blocks, 4-column block and masked 1..3
+// tail), n = 49 is three 16-column blocks or six 8-column blocks plus one
+// masked column (stage 4 at batch 1), n = 196 ends on a 4-column block,
+// k = 257 and 515 reach a second and third kc panel, and m not a multiple
+// of 4 runs the remainder kernel.
 func gemmShapes(rng *rand.Rand) [][3]int {
 	shapes := [][3]int{
 		{1, 1, 1}, {1, 7, 1}, {4, 1, 4}, {3, 5, 2}, {5, 3, 9},
@@ -80,7 +82,7 @@ func gemmShapes(rng *rand.Rand) [][3]int {
 		{65, 257, 513}, {2, 300, 600}, {48, 144, 784},
 		{8, 37, 49}, {4, 64, 196}, {12, 257, 49}, {6, 515, 196}, {7, 515, 15},
 	}
-	for n := 8; n <= 15; n++ {
+	for n := 8; n <= 31; n++ {
 		shapes = append(shapes, [3]int{4 + n%5, 9 + n, n})
 	}
 	for i := 0; i < 8; i++ {
@@ -89,9 +91,38 @@ func gemmShapes(rng *rand.Rand) [][3]int {
 	return shapes
 }
 
+// engine is one GEMM engine kern4Strip can run, given as the gate values
+// under which it is picked: the Go kernels, the AVX 4x8 tile or the
+// AVX-512 4x16 tile.
+type engine struct {
+	name        string
+	avx, avx512 bool
+}
+
+// hostEngines lists the engines the running CPU supports.
+func hostEngines() []engine {
+	es := []engine{{name: "go"}}
+	if haveAVX {
+		es = append(es, engine{name: "avx", avx: true})
+	}
+	if haveAVX512 {
+		es = append(es, engine{name: "avx512", avx: true, avx512: true})
+	}
+	return es
+}
+
+// withEngine runs f on engine e and then restores the probe's choice.
+func withEngine(e engine, f func()) {
+	avx, avx512 := haveAVX, haveAVX512
+	haveAVX, haveAVX512 = e.avx, e.avx512
+	defer func() { haveAVX, haveAVX512 = avx, avx512 }()
+	f()
+}
+
 // TestBlockedMatMulMatchesNaive is the kernel contract: on finite inputs the
 // blocked engine reproduces the naive reference bit for bit (ascending-k
-// accumulation per element), across remainder tiles and degenerate edges.
+// accumulation per element), across remainder tiles and degenerate edges,
+// on every engine the host runs.
 func TestBlockedMatMulMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, sh := range gemmShapes(rng) {
@@ -100,40 +131,154 @@ func TestBlockedMatMulMatchesNaive(t *testing.T) {
 		b := randSlice(rng, k*n)
 		got := make([]float64, m*n)
 		want := make([]float64, m*n)
-		gemmPacked(a, false, m, k, b, n, got)
 		matMulNaive(a, m, k, b, n, want)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("MatMul m=%d k=%d n=%d: out[%d] = %g (blocked) vs %g (naive), diff %g",
-					m, k, n, i, got[i], want[i], got[i]-want[i])
+		for _, e := range hostEngines() {
+			withEngine(e, func() { gemmPacked(a, false, m, k, b, n, got) })
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("MatMul %s m=%d k=%d n=%d: out[%d] = %g (blocked) vs %g (naive), diff %g",
+						e.name, m, k, n, i, got[i], want[i], got[i]-want[i])
+				}
 			}
 		}
 	}
 }
 
-// TestMatMulPackedMatchesNaive holds the pre-packed entry point to the same
-// contract, with A packed once by packA.
-func TestMatMulPackedMatchesNaive(t *testing.T) {
+// plantedOperand fills a slice with normals and plants the values a
+// vector kernel most easily gets wrong: ±0, subnormals, and ±1e300, whose
+// products overflow to ±Inf and whose sums then reach NaN.
+func plantedOperand(rng *rand.Rand, n int) []float64 {
+	s := make([]float64, n)
+	for i := range s {
+		switch rng.Intn(12) {
+		case 0:
+			s[i] = 0
+		case 1:
+			s[i] = math.Copysign(0, -1)
+		case 2:
+			s[i] = math.Float64frombits(uint64(1 + rng.Int63n(1<<52-1))) // subnormal
+		case 3:
+			s[i] = -math.SmallestNonzeroFloat64
+		case 4:
+			s[i] = 1e300
+		case 5:
+			s[i] = -1e300
+		default:
+			s[i] = rng.NormFloat64()
+		}
+	}
+	return s
+}
+
+// TestStripKernelsBitIdentical runs every strip kernel the host has — kern4,
+// kern4x8AVX and kern4x16AVX512 — on the same packed panels and C tiles and
+// requires the same bits, NaNs included, for nc = 1..48 (every column
+// residue of both tiles, and several whole blocks) and kc from 1 to a full
+// 256-deep panel. Each C row is followed by sentinels, which no kernel may
+// write: the masked tails must leave the columns past nc alone.
+func TestStripKernelsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	const pad = 16
+	sentinel := math.Float64frombits(0x7ff4dead0000beef)
+	for _, kc := range []int{1, 2, 255, 256} {
+		for nc := 1; nc <= 48; nc++ {
+			ap := plantedOperand(rng, 4*kc)
+			bp := plantedOperand(rng, kc*nc)
+			cInit := plantedOperand(rng, 4*nc)
+			run := func(kern func(c0, c1, c2, c3 []float64)) []float64 {
+				c := make([]float64, 4*(nc+pad))
+				for r := 0; r < 4; r++ {
+					copy(c[r*(nc+pad):], cInit[r*nc:(r+1)*nc])
+					for j := nc; j < nc+pad; j++ {
+						c[r*(nc+pad)+j] = sentinel
+					}
+				}
+				row := func(r int) []float64 { return c[r*(nc+pad) : r*(nc+pad)+nc] }
+				kern(row(0), row(1), row(2), row(3))
+				return c
+			}
+			want := run(func(c0, c1, c2, c3 []float64) { kern4(ap, kc, bp, nc, c0, c1, c2, c3) })
+			for _, e := range hostEngines()[1:] {
+				got := run(func(c0, c1, c2, c3 []float64) {
+					if e.avx512 {
+						kern4x16AVX512(&ap[0], &bp[0], &c0[0], &c1[0], &c2[0], &c3[0], kc, nc)
+					} else {
+						kern4x8AVX(&ap[0], &bp[0], &c0[0], &c1[0], &c2[0], &c3[0], kc, nc)
+					}
+				})
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s kc=%d nc=%d: row %d col %d = %x, kern4 %x", e.name, kc, nc,
+							i/(nc+pad), i%(nc+pad), math.Float64bits(got[i]), math.Float64bits(want[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// convCase is one convolution of a batch of images.
+type convCase struct {
+	g     ConvGeom
+	batch int
+}
+
+// convGrid is the conv entry's property grid: stride 1 and 2, padding 0-3,
+// kernel edges 1, 3 and 7, batches of 1-3 images. Each kernel edge has a
+// channel count that makes k = InC*K*K straddle two or three 256-deep
+// panels, and the input sizes make the column count n*OH*OW run from under
+// one 512-wide panel to past two, with panel edges inside an image and
+// inside an output row.
+func convGrid() []convCase {
+	var grid []convCase
+	for _, kc := range [][2]int{{1, 260}, {3, 57}, {7, 11}} {
+		for stride := 1; stride <= 2; stride++ {
+			for pad := 0; pad <= 3; pad++ {
+				for batch := 1; batch <= 3; batch++ {
+					g := ConvGeom{InC: kc[1], InH: 13 * stride, InW: 17 * stride, K: kc[0], Stride: stride, Pad: pad}
+					grid = append(grid, convCase{g, batch})
+				}
+			}
+		}
+	}
+	return grid
+}
+
+// TestConvPackedMatchesNaive holds the conv entry to the kernel contract
+// with W packed once by packA: on every engine the host runs, its output
+// is bit-identical to Im2ColBatch followed by MatMul, and both to the
+// naive loops over the same column matrix.
+func TestConvPackedMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
-	for _, sh := range gemmShapes(rng) {
-		m, k, n := sh[0], sh[1], sh[2]
-		a := randSlice(rng, m*k)
-		b := randSlice(rng, k*n)
+	const m = 6 // one full 4-row strip and a 2-row remainder
+	for _, c := range convGrid() {
+		g, batch := c.g, c.batch
+		k := g.InC * g.K * g.K
+		n := batch * g.OutH() * g.OutW()
+		w := randSlice(rng, m*k)
+		imgs := randSlice(rng, batch*g.InC*g.InH*g.InW)
 		ap := make([]float64, m*k)
-		packA(a, false, m, k, ap)
-		got := make([]float64, m*n)
+		packA(w, false, m, k, ap)
+		col := make([]float64, k*n)
+		Im2ColBatch(imgs, batch, g, col)
 		want := make([]float64, m*n)
-		MatMulPacked(ap, m, k, b, n, got)
-		matMulNaive(a, m, k, b, n, want)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("MatMulPacked m=%d k=%d n=%d: out[%d] = %g vs %g", m, k, n, i, got[i], want[i])
+		naive := make([]float64, m*n)
+		got := make([]float64, m*n)
+		MatMul(w, m, k, col, n, want)
+		matMulNaive(w, m, k, col, n, naive)
+		for _, e := range hostEngines() {
+			withEngine(e, func() { ConvPacked(ap, m, imgs, batch, g, got) })
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) || naive[i] != want[i] {
+					t.Fatalf("ConvPacked %s %+v batch %d: out[%d] = %g, Im2ColBatch+MatMul %g, naive %g",
+						e.name, g, batch, i, got[i], want[i], naive[i])
+				}
 			}
 		}
 	}
 }
 
-// TestPackALayout pins the packed layout MatMulPacked documents, which
+// TestPackALayout pins the packed layout ConvPacked documents, which
 // callers outside the package write themselves: A[4s+r][kk] sits at
 // 4s*k + kk*mr + r, with mr the strip's row count, for A read directly and
 // read transposed.
@@ -319,15 +464,20 @@ func TestGEMMSteadyStateAllocs(t *testing.T) {
 	at := randSlice(rng, k*m)
 	b := randSlice(rng, k*n)
 	bt := randSlice(rng, n*k)
-	ap := make([]float64, m*k)
-	packA(a, false, m, k, ap)
+	g := ConvGeom{InC: 10, InH: 7, InW: 53, K: 3, Stride: 1, Pad: 1}
+	ck, cols := g.InC*g.K*g.K, 2*g.OutH()*g.OutW() // a second 512-wide panel
+	w := randSlice(rng, m*ck)
+	wp := make([]float64, m*ck)
+	packA(w, false, m, ck, wp)
+	imgs := randSlice(rng, 2*g.InC*g.InH*g.InW)
 	out := make([]float64, m*n)
 	outABT := make([]float64, m*n)
+	outConv := make([]float64, m*cols)
 	step := func() {
 		MatMul(a, m, k, b, n, out)
 		MatMulATB(at, k, m, b[:k*n], n, out)
 		MatMulABT(a, m, k, bt, n, outABT[:m*n])
-		MatMulPacked(ap, m, k, b, n, out)
+		ConvPacked(wp, m, imgs, 2, g, outConv)
 	}
 	step()
 	step()
@@ -354,9 +504,11 @@ func fuzzOperand(rng *rand.Rand, n int) []float64 {
 }
 
 // FuzzGEMM holds every GEMM path to the naive loops, bitwise (±0 included),
-// over fuzzed shapes and data. Signed zeros cannot break the equality:
-// an accumulator starting at +0 never becomes -0, so adding a ±0 product
-// leaves it unchanged, exactly as the naive loops' zero-skip does.
+// over fuzzed shapes and data, on every engine the host runs. Signed zeros
+// cannot break the equality: an accumulator starting at +0 never becomes
+// -0, so adding a ±0 product leaves it unchanged, exactly as the naive
+// loops' zero-skip does. The conv entry runs as a 1x1 convolution of one
+// k-channel 1 x n image, whose column matrix is B itself.
 func FuzzGEMM(f *testing.F) {
 	f.Add(uint8(3), uint16(8), uint16(14), int64(1))
 	f.Add(uint8(7), uint16(514), uint16(48), int64(2))
@@ -376,26 +528,32 @@ func FuzzGEMM(f *testing.F) {
 		ap := make([]float64, m*k)
 		packA(a, false, m, k, ap)
 		want := make([]float64, m*n)
+		wantATB := make([]float64, m*n)
+		wantABT := make([]float64, m*n)
+		matMulNaive(a, m, k, b, n, want)
+		matMulATBNaive(at, k, m, b, n, wantATB)
+		matMulABTNaive(a, m, k, bt, n, wantABT)
 		got := make([]float64, m*n)
-		check := func(name string) {
-			t.Helper()
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%s m=%d k=%d n=%d: out[%d] = %g vs naive %g", name, m, k, n, i, got[i], want[i])
+		for _, e := range hostEngines() {
+			check := func(name string, want []float64) {
+				t.Helper()
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s %s m=%d k=%d n=%d: out[%d] = %g vs naive %g", name, e.name, m, k, n, i, got[i], want[i])
+					}
 				}
 			}
+			withEngine(e, func() {
+				MatMul(a, m, k, b, n, got)
+				check("MatMul", want)
+				ConvPacked(ap, m, b, 1, ConvGeom{InC: k, InH: 1, InW: n, K: 1, Stride: 1}, got)
+				check("ConvPacked", want)
+				MatMulATB(at, k, m, b, n, got)
+				check("MatMulATB", wantATB)
+				MatMulABT(a, m, k, bt, n, got)
+				check("MatMulABT", wantABT)
+			})
 		}
-		matMulNaive(a, m, k, b, n, want)
-		MatMul(a, m, k, b, n, got)
-		check("MatMul")
-		MatMulPacked(ap, m, k, b, n, got)
-		check("MatMulPacked")
-		matMulATBNaive(at, k, m, b, n, want)
-		MatMulATB(at, k, m, b, n, got)
-		check("MatMulATB")
-		matMulABTNaive(a, m, k, bt, n, want)
-		MatMulABT(a, m, k, bt, n, got)
-		check("MatMulABT")
 	})
 }
 

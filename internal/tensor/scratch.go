@@ -1,7 +1,7 @@
-// Size-keyed pooled scratch for the GEMM engine and its callers, following
-// the fft plan-cache pattern: one sync.Pool per power-of-two size class,
-// registered in a shared map, so steady-state hot paths (packing buffers,
-// transient gradient accumulators) never allocate.
+// Size-keyed pooled scratch for the GEMM engine, following the fft
+// plan-cache pattern: one sync.Pool per power-of-two size class, registered
+// in a shared map, so the packing buffers of steady-state hot paths never
+// allocate.
 package tensor
 
 import (
@@ -53,15 +53,3 @@ func getBuf(n int) *[]float64 {
 func putBuf(b *[]float64) {
 	poolFor(sizeClass(cap(*b))).Put(b)
 }
-
-// GetScratch returns a pooled buffer sliced to length n, for callers outside
-// the package (layer gradient accumulators, column matrices) that need
-// transient zero-alloc scratch. Pair with PutScratch.
-func GetScratch(n int) *[]float64 {
-	b := getBuf(n)
-	*b = (*b)[:n]
-	return b
-}
-
-// PutScratch recycles a buffer obtained from GetScratch.
-func PutScratch(b *[]float64) { putBuf(b) }

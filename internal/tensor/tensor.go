@@ -120,21 +120,6 @@ func MatMul(a []float64, m, k int, b []float64, n int, out []float64) {
 	gemmPacked(a, false, m, k, b, n, out)
 }
 
-// MatMulPacked computes out = A x B like MatMul, with the m x k matrix A
-// supplied already packed, so a constant left operand (a frozen layer's
-// weights) is packed once instead of on every call. The packed layout cuts
-// A's rows into 4-row strips, the last one holding the m mod 4 remainder
-// rows when m is not a multiple of 4: strip s, with mr rows, occupies
-// ap[4s*k : 4s*k+mr*k] and holds A[4s+r][kk] at ap[4s*k + kk*mr + r]. The
-// result is bit-identical to MatMul on the unpacked matrix.
-func MatMulPacked(ap []float64, m, k int, b []float64, n int, out []float64) {
-	if len(ap) < m*k || len(b) < k*n || len(out) < m*n {
-		panic(fmt.Sprintf("tensor: packed matmul size mismatch m=%d k=%d n=%d (a=%d b=%d out=%d)",
-			m, k, n, len(ap), len(b), len(out)))
-	}
-	gemmPrepacked(ap, m, k, b, n, out)
-}
-
 // MatMulATB computes out = A^T x B where A is k x m (so A^T is m x k) and B
 // is k x n; out is m x n. Used for weight gradients and the conv input
 // gradient (W^T x gradOut).
@@ -175,7 +160,7 @@ func Im2Col(img []float64, g ConvGeom, col []float64) {
 	if len(img) < g.InC*g.InH*g.InW || len(col) < g.InC*g.K*g.K*cols {
 		panic("tensor: im2col size mismatch")
 	}
-	im2colStride(img, g, col, cols)
+	im2colPanel(img, g, 0, 0, g.InC*g.K*g.K, cols, col)
 }
 
 // Im2ColBatch expands an n-image NCHW batch into one whole-batch column
@@ -188,52 +173,29 @@ func Im2ColBatch(imgs []float64, n int, g ConvGeom, col []float64) {
 	if len(imgs) < n*imgLen || len(col) < g.InC*g.K*g.K*n*cols {
 		panic("tensor: im2col batch size mismatch")
 	}
-	for b := 0; b < n; b++ {
-		im2colStride(imgs[b*imgLen:(b+1)*imgLen], g, col[b*cols:], n*cols)
-	}
+	im2colPanel(imgs, g, 0, 0, g.InC*g.K*g.K, n*cols, col)
 }
 
-// im2colStride writes one image's column block into col, whose rows are
-// rowStride elements apart (rowStride = OutH*OutW for a single image,
-// n*OutH*OutW inside a whole-batch matrix).
-func im2colStride(img []float64, g ConvGeom, col []float64, rowStride int) {
-	oh, ow := g.OutH(), g.OutW()
-	row := 0
-	for c := 0; c < g.InC; c++ {
-		plane := img[c*g.InH*g.InW:]
-		for ky := 0; ky < g.K; ky++ {
-			for kx := 0; kx < g.K; kx++ {
-				// The x-padding clip is the same for every output row, so
-				// hoist it: positions [oxLo, oxHi) read the plane, the
-				// fringes are zeros.
-				oxLo, oxHi := clipRange(ow, g.Stride, kx-g.Pad, g.InW)
-				dst := col[row*rowStride:]
-				i := 0
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*g.Stride - g.Pad + ky
-					if iy < 0 || iy >= g.InH {
-						zeroF(dst[i : i+ow])
-						i += ow
-						continue
-					}
-					base := iy*g.InW + kx - g.Pad
-					zeroF(dst[i : i+oxLo])
-					if g.Stride == 1 {
-						copy(dst[i+oxLo:i+oxHi], plane[base+oxLo:base+oxHi])
-					} else {
-						ix := base + oxLo*g.Stride
-						for ox := oxLo; ox < oxHi; ox++ {
-							dst[i+ox] = plane[ix]
-							ix += g.Stride
-						}
-					}
-					zeroF(dst[i+oxHi : i+ow])
-					i += ow
-				}
-				row++
-			}
-		}
+// ConvPacked computes out = W x col, the convolution of the n-image NCHW
+// batch imgs under g as one GEMM: col is the (InC*K*K) x (n*OutH*OutW)
+// column matrix Im2ColBatch would build, and W is the m x (InC*K*K) weight
+// matrix supplied already packed, so a constant left operand (a frozen
+// layer's weights) is packed once instead of on every call. col itself is
+// never built: the GEMM expands each of its cache-sized B panels straight
+// from imgs. The packed layout cuts W's rows into 4-row strips, the last
+// one holding the m mod 4 remainder rows when m is not a multiple of 4:
+// strip s, with mr rows, occupies ap[4s*k : 4s*k+mr*k] and holds
+// W[4s+r][kk] at ap[4s*k + kk*mr + r], with k = InC*K*K. out is m x
+// (n*OutH*OutW), bit-identical to Im2ColBatch followed by MatMul on the
+// unpacked matrix.
+func ConvPacked(ap []float64, m int, imgs []float64, n int, g ConvGeom, out []float64) {
+	k := g.InC * g.K * g.K
+	cols := n * g.OutH() * g.OutW()
+	if len(ap) < m*k || len(imgs) < n*g.InC*g.InH*g.InW || len(out) < m*cols {
+		panic(fmt.Sprintf("tensor: packed conv size mismatch m=%d k=%d cols=%d (a=%d imgs=%d out=%d)",
+			m, k, cols, len(ap), len(imgs), len(out)))
 	}
+	gemmPrepacked(ap, m, k, &bOperand{imgs: imgs, g: g}, cols, out)
 }
 
 // clipRange returns the half-open output range [lo, hi) whose input index

@@ -4,9 +4,10 @@
 # with concurrent hot paths (worker pool, FFT scratch sharing, the mask-lane
 # ILT session, candidate fan-out, predictor lanes reading one shared frozen
 # weight set and the pooled GEMM scratch), and short fuzz smokes on the GDS
-# and CSV readers, the artifact envelope and the serve job-spec decode and
-# content hash so hostile-input regressions surface before a long fuzz
-# campaign would find them. The repository benchmark module under bench/
+# and CSV readers, the artifact envelope, the serve job-spec decode and
+# content hash and the factory's lease, crash and attempts records and shard
+# names so hostile-input regressions surface before a long fuzz campaign
+# would find them. The repository benchmark module under bench/
 # imports the flow, ILT, litho, FFT, serve, model and sampling packages, so
 # it is vetted and tested here too: an API change that would break
 # bench/run.sh fails CI instead.
@@ -48,17 +49,21 @@ go test -run='^$' -fuzz='^FuzzReadGDS$' -fuzztime=10s ./internal/gds
 go test -run='^$' -fuzz='^FuzzReadCSV$' -fuzztime=10s ./internal/layout
 go test -run='^$' -fuzz='^FuzzUnseal$' -fuzztime=10s ./internal/artifact
 go test -run='^$' -fuzz='^FuzzJobSpec$' -fuzztime=10s ./internal/serve
+go test -run='^$' -fuzz='^FuzzShardRecords$' -fuzztime=10s ./internal/factory
 
 # Compute-engine gates: alloc-regression tests on the ILT and NN hot paths,
 # and 100-iteration smokes of the FFT and GEMM benchmarks, which include the
 # A/B comparisons against the reference engines the tests keep as oracles
 # (full-complex FFT, naive GEMM). BenchmarkAerialCell, one Aerial plus one
 # AerialBackward on the 4 nm and 8 nm cell rasters, is the benchmark that
-# sizes a row- or column-pass FFT change; its smoke keeps it running.
+# sizes a row- or column-pass FFT change, and BenchmarkPredictR18, two 224²
+# ResNet-18 candidates on two lanes, the one that sizes a GEMM or frozen-
+# layer change; their smokes keep them running.
 go test -timeout 120s -run='ZeroAlloc|SteadyStateAllocs|HotPathZeroAlloc' ./internal/fft ./internal/litho ./internal/ilt ./internal/nn ./internal/tensor ./internal/par ./internal/model
 go test -run='^$' -bench='^BenchmarkFFT' -benchtime=100x ./internal/fft
 go test -run='^$' -bench='^BenchmarkAerialCell$' -benchtime=20x ./internal/litho
 go test -run='^$' -bench='^BenchmarkGEMM' -benchtime=100x ./internal/tensor
+go test -run='^$' -bench='^BenchmarkPredictR18$' -benchtime=2x ./internal/model
 
 # Vector-kernel gates. go vet's asmdecl pass cross-checks every assembly
 # function against its Go declaration (frame size, argument offsets); run it
@@ -69,16 +74,26 @@ go test -run='^$' -bench='^BenchmarkGEMM' -benchtime=100x ./internal/tensor
 # by TestVecTransformBitIdentical and TestVecRFFTRowBitIdentical on rows
 # planted with signed zeros and subnormals, and on zero-only rows, in the
 # full suite above; the column kernels fftRows2AVX/fftRows1AVX, Nyquist
-# column included, by TestColumnPassMatchesStripOracle. The FFT
+# column included, by TestColumnPassMatchesStripOracle. The GEMM engine has
+# three strip kernels, picked by the CPU probe: the AVX-512 4x16 tile
+# kern4x16AVX512 (opmask column tail), the AVX 4x8 tile kern4x8AVX (masked
+# 1..3-column tail) and the Go kern4. On an AVX-512 host the engine never
+# reaches the AVX tile, so TestStripKernelsBitIdentical runs every kernel
+# the host has on the same panels planted with signed zeros, subnormals and
+# ±1e300, bitwise and with no write past the last column, and
+# TestBlockedMatMulMatchesNaive, TestConvPackedMatchesNaive (the frozen
+# conv's entry, which fills each B panel straight from the NCHW input, held
+# to Im2ColBatch+MatMul over strides, padding, kernel sizes, batches and
+# panel edges) and FuzzGEMM switch the engine through each of them. The FFT
 # engine-equivalence, sigmoid and GEMM fuzz seeds get a smoke run; FuzzGEMM
-# holds the register-tiled GEMM kernel, masked column tail included, to the
-# naive loops bitwise. The sigmoid kernel mirrors math.Exp's FMA branch;
-# GODEBUG=cpu.fma=off moves math.Exp to its SSE branch, and the second litho
-# run checks that the init probe then falls back to the scalar loop. Then the
-# spectral and NN suites and their consumers run as a 386 build, which
-# compiles the pure-Go FFT, GEMM and sigmoid engines — the only ones on
-# non-amd64 hosts — so that fallback cannot rot; the nn and model suites hold
-# it to the same predictor score golden as the vector engine. The artifact
+# holds every GEMM entry on every engine to the naive loops bitwise. The
+# sigmoid kernel mirrors math.Exp's FMA branch; GODEBUG=cpu.fma=off moves
+# math.Exp to its SSE branch, and the second litho run checks that the init
+# probe then falls back to the scalar loop. Then the spectral and NN suites
+# and their consumers run as a 386 build, which compiles the pure-Go FFT,
+# GEMM and sigmoid engines — the only ones on non-amd64 hosts — so that
+# fallback cannot rot; the nn and model suites hold it to the same
+# predictor score golden as the vector engines. The artifact
 # reader rides along: 32-bit ints are where a length claim overflows a slice.
 # TestFlowMaskBitsGolden keys the whole flow's mask bits by engine; the
 # default suite runs the FMA key, the GODEBUG line the SSE-exp key and the
