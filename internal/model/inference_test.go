@@ -3,6 +3,7 @@ package model
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -116,6 +117,41 @@ func TestPredictorLanesShareFrozenWeights(t *testing.T) {
 		if want := len(prm.Data); !prm.NoGrad && len(prm.Grad) != want {
 			t.Fatalf("after training %s has %d gradient entries, want %d", prm.Name, len(prm.Grad), want)
 		}
+	}
+}
+
+// TestResNet18LaneUnder15MB is the memory gate of the frozen lanes'
+// activation arena: a new lane of the 224² ResNet-18 predictor, sharing the
+// frozen weights, may add at most 15 MB to the live heap with its first
+// one-image forward. A lane with a buffer per layer held ~58 MiB.
+func TestResNet18LaneUnder15MB(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool randomly drops puts under the race detector")
+	}
+	if testing.Short() {
+		t.Skip("ResNet-18 at 224x224 is slow under -short")
+	}
+	p, err := New(ResNet18Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SetWorkers(1)
+	imgs := randImages(rand.New(rand.NewSource(5)), 1, 224)
+	p.PredictBatch(imgs) // freeze, and warm the GEMM scratch pool
+	x := p.laneTensor(0, imgs)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	lane := p.frozenNets(1)[0].Lane()
+	lane.Forward(x, false)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(p)
+	runtime.KeepAlive(lane)
+	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("a 224² ResNet-18 lane holds %.1f MiB after its first forward", float64(grew)/(1<<20))
+	if grew > 15e6 {
+		t.Fatalf("a 224² ResNet-18 lane holds %d bytes after its first forward, want at most 15 MB", grew)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"ldmo/internal/artifact"
@@ -78,7 +79,8 @@ func (n ScoreNorm) Denormalize(z float64) float64 { return z*n.Std + n.Mean }
 
 // Config describes the predictor architecture.
 type Config struct {
-	// InputSize is the square input image edge in pixels.
+	// InputSize is the square input image edge in pixels, 16 to
+	// maxInputSize.
 	InputSize int
 	// StemChannels is the output width of the 7x7 stem convolution.
 	StemChannels int
@@ -120,10 +122,19 @@ func TinyConfig() Config {
 	}
 }
 
+// maxInputSize caps Config.InputSize well above ResNet18Config's 224. The
+// input size sets no weight, so no payload bounds it, and each lane's
+// activation arena grows with its square: a ResNet-18 lane at 1024² holds
+// ~190 MiB.
+const maxInputSize = 1024
+
 // Validate reports the first problem with c, or nil.
 func (c Config) Validate() error {
 	if c.InputSize < 16 {
 		return fmt.Errorf("model: input size %d too small", c.InputSize)
+	}
+	if c.InputSize > maxInputSize {
+		return fmt.Errorf("model: input size %d above %d", c.InputSize, maxInputSize)
 	}
 	if c.StemChannels <= 0 || c.HiddenDim <= 0 {
 		return fmt.Errorf("model: non-positive widths in %+v", c)
@@ -146,8 +157,9 @@ func (c Config) Validate() error {
 // Inference runs on one nn.Network.Freeze() copy — batch norm folded into
 // the preceding convolutions, conv weights pre-packed for the GEMM, no
 // gradient buffers — frozen lazily once per weight generation. Every lane
-// reads that one weight set (nn.Network.Lane) and owns only its activation
-// caches. The lanes are cached with the lane pool, so steady-state
+// reads that one weight set (nn.Network.Lane) and owns one planned
+// activation arena: three rotating slots, ~9.2 MiB for a 224² ResNet-18
+// image. The lanes are cached with the lane pool, so steady-state
 // PredictBatch calls rebuild nothing.
 type Predictor struct {
 	Cfg   Config
@@ -396,24 +408,99 @@ func Load(path string) (*Predictor, error) {
 	return Read(bytes.NewReader(payload))
 }
 
-// Read streams a predictor from r.
+// Read streams a predictor from r. It decodes the weights before it builds
+// the network the config describes, and builds it only when the config
+// declares exactly as many parameter vectors and scalars as the payload
+// holds, so a crafted config cannot make it allocate beyond the payload's
+// size.
 func Read(r io.Reader) (*Predictor, error) {
 	dec := gob.NewDecoder(r)
 	var cfg Config
 	if err := dec.Decode(&cfg); err != nil {
 		return nil, fmt.Errorf("model: decode config: %w", err)
 	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	var norm ScoreNorm
 	if err := dec.Decode(&norm); err != nil {
 		return nil, fmt.Errorf("model: decode norm: %w", err)
+	}
+	names, data, err := nn.ReadParams(dec)
+	if err != nil {
+		return nil, err
+	}
+	held := uint64(0)
+	for _, d := range data {
+		held += uint64(len(d))
+	}
+	if vectors, scalars := paramCount(cfg); vectors != uint64(len(data)) || scalars != held {
+		return nil, fmt.Errorf("model: config declares %d parameter vectors of %d scalars, payload holds %d of %d",
+			vectors, scalars, len(data), held)
 	}
 	p, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	p.Norm = norm
-	if err := p.Net.DecodeParams(dec); err != nil {
+	if err := p.Net.SetParams(names, data); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// paramCount returns how many parameter vectors and scalars New(cfg)
+// declares, in closed form: the 7x7 stem conv and its batch norm; per
+// residual block two 3x3 convs with their batch norms, plus a 1x1
+// projection conv and batch norm where the block changes shape (the first
+// block of stages 1-3, and of stage 0 when its width differs from the
+// stem's); and the two linear layers with their biases. A batch norm over c
+// channels holds four vectors of c (scale, shift, running mean and
+// variance). The arithmetic saturates at math.MaxUint64 instead of
+// wrapping, so no config, however wide, counts as a smaller network.
+func paramCount(cfg Config) (vectors, scalars uint64) {
+	conv := func(out, in, k uint64) uint64 { return satMul(out, in, k, k) }
+	bn := func(c uint64) uint64 { return satMul(4, c) }
+	in := uint64(cfg.StemChannels)
+	vectors, scalars = 5, satAdd(conv(in, 1, 7), bn(in))
+	for stage := range cfg.StageBlocks {
+		c, blocks := uint64(cfg.StageChannels[stage]), uint64(cfg.StageBlocks[stage])
+		vectors = satAdd(vectors, satMul(10, blocks))
+		scalars = satAdd(scalars, conv(c, in, 3), satMul(blocks-1, conv(c, c, 3)),
+			satMul(blocks, satAdd(conv(c, c, 3), bn(c), bn(c))))
+		if stage > 0 || in != c {
+			vectors = satAdd(vectors, 5)
+			scalars = satAdd(scalars, conv(c, in, 1), bn(c))
+		}
+		in = c
+	}
+	h := uint64(cfg.HiddenDim)
+	return satAdd(vectors, 4), satAdd(scalars, satMul(h, in), h, h, 1)
+}
+
+// satMul returns the product of its factors, or math.MaxUint64 once a
+// partial product overflows.
+func satMul(factors ...uint64) uint64 {
+	p := uint64(1)
+	for _, f := range factors {
+		hi, lo := bits.Mul64(p, f)
+		if hi != 0 {
+			return math.MaxUint64
+		}
+		p = lo
+	}
+	return p
+}
+
+// satAdd returns the sum of its terms, or math.MaxUint64 once a partial sum
+// overflows.
+func satAdd(terms ...uint64) uint64 {
+	s := uint64(0)
+	for _, t := range terms {
+		var carry uint64
+		if s, carry = bits.Add64(s, t, 0); carry != 0 {
+			return math.MaxUint64
+		}
+	}
+	return s
 }

@@ -69,6 +69,11 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatal("tiny input must fail")
 	}
 	bad = testConfig()
+	bad.InputSize = maxInputSize + 1
+	if err := bad.Validate(); err == nil {
+		t.Fatal("input above maxInputSize must fail")
+	}
+	bad = testConfig()
 	bad.StageBlocks[2] = 0
 	if err := bad.Validate(); err == nil {
 		t.Fatal("empty stage must fail")

@@ -8,8 +8,9 @@ import (
 
 // BasicBlock is the ResNet-18 residual unit: two 3x3 conv+BN stages with an
 // identity (or 1x1-conv downsample) skip connection and ReLU activations.
-// The batch-norm fields are nil in frozen (inference-folded) blocks, where
-// their statistics have been absorbed into the preceding conv biases.
+// The batch-norm and relu1 fields are nil in frozen (inference-folded)
+// blocks, where the statistics have been absorbed into the conv weights and
+// biases and the inner ReLU into conv1's output pass.
 type BasicBlock struct {
 	conv1 *Conv2D
 	bn1   *BatchNorm2D
@@ -47,22 +48,16 @@ func NewBasicBlock(rng *rand.Rand, inC, outC, stride int) *BasicBlock {
 
 // Forward implements Layer.
 func (b *BasicBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	main := b.conv1.Forward(x, train)
-	if b.bn1 != nil {
-		main = b.bn1.Forward(main, train)
+	if b.conv1.frozen {
+		return b.forwardFrozen(x)
 	}
+	main := b.bn1.Forward(b.conv1.Forward(x, train), train)
 	main = b.relu1.Forward(main, train)
-	main = b.conv2.Forward(main, train)
-	if b.bn2 != nil {
-		main = b.bn2.Forward(main, train)
-	}
+	main = b.bn2.Forward(b.conv2.Forward(main, train), train)
 
 	skip := x
 	if b.downConv != nil {
-		skip = b.downConv.Forward(x, train)
-		if b.downBN != nil {
-			skip = b.downBN.Forward(skip, train)
-		}
+		skip = b.downBN.Forward(b.downConv.Forward(x, train), train)
 	}
 	// out = relu(main + skip); record the ReLU mask for backward.
 	b.out = tensor.Ensure(b.out, main.N, main.C, main.H, main.W)
@@ -81,8 +76,32 @@ func (b *BasicBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
+// forwardFrozen runs the folded block on its lane's arena (see
+// arena.plan): conv1, its ReLU fused, writes s1; conv2 writes s2; the
+// downsample conv, having read the block input after conv2 read s1, reuses
+// s1; and the residual add and its ReLU overwrite s2 in place with
+// Forward's s := main + skip and its s > 0 test.
+func (b *BasicBlock) forwardFrozen(x *tensor.Tensor) *tensor.Tensor {
+	main := b.conv2.Forward(b.conv1.Forward(x, false), false)
+	skip := x
+	if b.downConv != nil {
+		skip = b.downConv.Forward(x, false)
+	}
+	for i, v := range main.Data {
+		if s := v + skip.Data[i]; s > 0 {
+			main.Data[i] = s
+		} else {
+			main.Data[i] = 0
+		}
+	}
+	return main
+}
+
 // Backward implements Layer.
 func (b *BasicBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	if b.conv1.frozen {
+		panic("nn: Backward through a frozen block")
+	}
 	// Through the final ReLU.
 	b.gsum = tensor.Ensure(b.gsum, grad.N, grad.C, grad.H, grad.W)
 	g := b.gsum
@@ -94,26 +113,13 @@ func (b *BasicBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	// Main path.
-	gm := g
-	if b.bn2 != nil {
-		gm = b.bn2.Backward(gm)
-	}
-	gm = b.conv2.Backward(gm)
+	gm := b.conv2.Backward(b.bn2.Backward(g))
 	gm = b.relu1.Backward(gm)
-	if b.bn1 != nil {
-		gm = b.bn1.Backward(gm)
-	}
-	gm = b.conv1.Backward(gm)
+	gm = b.conv1.Backward(b.bn1.Backward(gm))
 	// Skip path.
-	var gs *tensor.Tensor
+	gs := g
 	if b.downConv != nil {
-		gs = g
-		if b.downBN != nil {
-			gs = b.downBN.Backward(gs)
-		}
-		gs = b.downConv.Backward(gs)
-	} else {
-		gs = g
+		gs = b.downConv.Backward(b.downBN.Backward(g))
 	}
 	gm.AddInto(gs)
 	return gm

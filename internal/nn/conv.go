@@ -18,14 +18,18 @@ import (
 // All working buffers (column matrix, GEMM output, activations, gradients)
 // are cached on the layer and reused, so Forward and Backward are
 // allocation-free at steady state. A frozen conv (see Network.Freeze) runs
-// Forward only and builds no column matrix: tensor.ConvPacked expands each
-// GEMM panel straight from the input.
+// Forward only, builds no column matrix (tensor.ConvPacked expands each
+// GEMM panel straight from the input) and keeps no buffer of its own: it
+// writes its lane's arena, and a ReLU fused into it runs in its output
+// pass.
 type Conv2D struct {
 	InC, OutC, K, Stride, Pad int
 
-	weight *Param // OutC x (InC*K*K); tensor.ConvPacked's layout when frozen
-	bias   *Param // OutC, optional
-	frozen bool   // inference-only: packed weights, no column matrix
+	weight *Param    // OutC x (InC*K*K); tensor.ConvPacked's layout when frozen
+	bias   *Param    // OutC, optional
+	frozen bool      // inference-only: packed weights, no column matrix
+	relu   bool      // frozen only: a ReLU fused into the output pass
+	dst    arenaSlot // frozen only: where the output goes
 
 	// cached working set, grown once to steady-state size
 	in      *tensor.Tensor
@@ -58,47 +62,77 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.C != c.InC {
 		panic(fmt.Sprintf("nn: conv expects %d channels, got %s", c.InC, x.ShapeString()))
 	}
-	c.in = x
 	c.geom = tensor.ConvGeom{InC: c.InC, InH: x.H, InW: x.W, K: c.K, Stride: c.Stride, Pad: c.Pad}
 	oh, ow := c.geom.OutH(), c.geom.OutW()
 	if oh <= 0 || ow <= 0 {
 		panic(fmt.Sprintf("nn: conv output empty for input %s", x.ShapeString()))
 	}
-	ck := c.InC * c.K * c.K
-	cols := oh * ow
-	bcols := x.N * cols
-
-	c.gemmOut = ensureF(c.gemmOut, c.OutC*bcols)
 	if c.frozen {
-		tensor.ConvPacked(c.weight.Data, c.OutC, x.Data, x.N, c.geom, c.gemmOut)
-	} else {
-		c.col = ensureF(c.col, ck*bcols)
-		tensor.Im2ColBatch(x.Data, x.N, c.geom, c.col)
-		tensor.MatMul(c.weight.Data, c.OutC, ck, c.col, bcols, c.gemmOut)
+		return c.forwardFrozen(x, oh, ow)
 	}
-
-	// Permute OutC x (N*cols) back to NCHW, fusing the bias add.
+	c.in = x
+	ck := c.InC * c.K * c.K
+	bcols := x.N * oh * ow
+	c.gemmOut = ensureF(c.gemmOut, c.OutC*bcols)
+	c.col = ensureF(c.col, ck*bcols)
+	tensor.Im2ColBatch(x.Data, x.N, c.geom, c.col)
+	tensor.MatMul(c.weight.Data, c.OutC, ck, c.col, bcols, c.gemmOut)
 	c.out = tensor.Ensure(c.out, x.N, c.OutC, oh, ow)
+	c.outputPass(c.gemmOut, c.out.Data, x.N, oh*ow)
+	return c.out
+}
+
+// forwardFrozen runs the packed GEMM into the lane's arena. One image's
+// OutC x (OH*OW) product is already its NCHW output, so the GEMM writes the
+// output slot and the output pass runs in place; a batch's product goes
+// through the arena's conv-product buffer and is permuted into the slot.
+func (c *Conv2D) forwardFrozen(x *tensor.Tensor, oh, ow int) *tensor.Tensor {
+	out := c.dst.get(x.N, c.OutC, oh, ow)
+	prod := out.Data
+	if x.N > 1 {
+		c.dst.a.prod = ensureF(c.dst.a.prod, out.Len())
+		prod = c.dst.a.prod
+	}
+	tensor.ConvPacked(c.weight.Data, c.OutC, x.Data, x.N, c.geom, prod)
+	c.outputPass(prod, out.Data, x.N, oh*ow)
+	return out
+}
+
+// outputPass permutes the OutC x (n*cols) GEMM product src into the NCHW
+// output dst, adding each channel's bias and then, for a fused ReLU,
+// computing v > 0 ? v : 0 — the frozen ReLU's own test, so ±0 and NaN map
+// exactly as there. With n == 1 the permutation is the identity and src
+// may be dst.
+func (c *Conv2D) outputPass(src, dst []float64, n, cols int) {
+	bcols := n * cols
 	outLen := c.OutC * cols
 	for oc := 0; oc < c.OutC; oc++ {
 		b := 0.0
 		if c.bias != nil {
 			b = c.bias.Data[oc]
 		}
-		src := c.gemmOut[oc*bcols : (oc+1)*bcols]
-		for n := 0; n < x.N; n++ {
-			dst := c.out.Data[n*outLen+oc*cols : n*outLen+(oc+1)*cols]
-			s := src[n*cols : (n+1)*cols]
-			if c.bias != nil {
+		row := src[oc*bcols : (oc+1)*bcols]
+		for img := 0; img < n; img++ {
+			d := dst[img*outLen+oc*cols : img*outLen+(oc+1)*cols]
+			s := row[img*cols : (img+1)*cols]
+			switch {
+			case c.relu:
 				for i, v := range s {
-					dst[i] = v + b
+					if v += b; v > 0 {
+						d[i] = v
+					} else {
+						d[i] = 0
+					}
 				}
-			} else {
-				copy(dst, s)
+			case c.bias != nil:
+				for i, v := range s {
+					d[i] = v + b
+				}
+			default:
+				copy(d, s)
 			}
 		}
 	}
-	return c.out
 }
 
 // Backward implements Layer.

@@ -18,43 +18,71 @@ import (
 // Each frozen conv keeps its weight matrix only in the pre-packed layout of
 // tensor.ConvPacked, packed once here instead of on every forward, and
 // builds no column matrix: the GEMM expands its B panels straight from the
-// input. Frozen ReLU and max-pool layers record no backward state (mask,
-// argmax). Frozen parameters are NoGrad and carry no gradient buffer: a
-// frozen network is inference-only, and Backward through a frozen conv,
-// ReLU or max pool panics. Lane adds concurrent lanes over the same
-// weights.
+// input. A ReLU that directly follows a conv (after its batch norm) joins
+// that conv's output pass. Frozen ReLU and max-pool layers record no
+// backward state (mask, argmax). Frozen parameters are NoGrad and carry no
+// gradient buffer: a frozen network is inference-only, and Backward through
+// a frozen conv, ReLU, max pool or block panics. Lane adds concurrent lanes
+// over the same weights.
+//
+// The copy forwards on a planned activation arena (see arena): convs and
+// max pools write three rotating slots instead of buffers of their own, so
+// the tensor Forward returns stays valid only until the next Forward and
+// must not be passed back in. No frozen layer writes Forward's input.
 //
 // Folding changes rounding (the scale is applied to weights once instead of
 // to activations per element), so frozen outputs agree with the source
 // network's inference outputs to relative rounding error, not bitwise.
 func (n *Network) Freeze() *Network {
-	return &Network{Seq: NewSequential(freezeLayers(n.Seq.Layers, false)...)}
+	return planned(freezeLayers(n.Seq.Layers, false))
 }
 
 // Lane returns another inference lane of the frozen network n: the same
 // layers reading n's weights and biases in place, shared read-only rather
-// than copied, each lane owning only its activation caches. Lanes of one
+// than copied, each lane owning only one planned activation arena (plus
+// the small buffers of its pooling head and linear layers). Lanes of one
 // frozen network may forward concurrently with each other and with n, and
-// every lane computes exactly n's bits. Lane panics if n was not built by
-// Freeze.
+// every lane computes exactly n's bits. The tensor a lane's Forward returns
+// stays valid until that lane's next Forward and must not be passed back
+// in. Lane panics if n was not built by Freeze.
 func (n *Network) Lane() *Network {
-	return &Network{Seq: NewSequential(freezeLayers(n.Seq.Layers, true)...)}
+	return planned(freezeLayers(n.Seq.Layers, true))
+}
+
+// planned wraps frozen layers into a network with an arena of its own.
+func planned(layers []Layer) *Network {
+	new(arena).plan(layers, noSlot)
+	return NewNetwork(layers...)
 }
 
 // freezeLayers maps a layer stack to its inference form, consuming each
-// BatchNorm2D that directly follows a Conv2D. With share set the result is
-// a lane of an already-frozen stack, reading its parameters in place.
+// BatchNorm2D that directly follows a Conv2D and each ReLU that directly
+// follows either. With share set the result is a lane of an already-frozen
+// stack, reading its parameters in place.
 func freezeLayers(layers []Layer, share bool) []Layer {
 	out := make([]Layer, 0, len(layers))
-	for i := 0; i < len(layers); i++ {
-		if conv, ok := layers[i].(*Conv2D); ok && i+1 < len(layers) {
-			if bn, ok := layers[i+1].(*BatchNorm2D); ok {
-				out = append(out, foldConvBN(conv, bn, share))
-				i++
-				continue
-			}
+	next := func(i int) Layer {
+		if i+1 < len(layers) {
+			return layers[i+1]
 		}
-		out = append(out, freezeLayer(layers[i], share))
+		return nil
+	}
+	for i := 0; i < len(layers); i++ {
+		conv, ok := layers[i].(*Conv2D)
+		if !ok {
+			out = append(out, freezeLayer(layers[i], share))
+			continue
+		}
+		bn, ok := next(i).(*BatchNorm2D)
+		if ok {
+			i++
+		}
+		nc := foldConvBN(conv, bn, share)
+		if _, ok := next(i).(*ReLU); ok {
+			nc.relu = true
+			i++
+		}
+		out = append(out, nc)
 	}
 	return out
 }
@@ -84,14 +112,15 @@ func freezeLayer(l Layer, share bool) Layer {
 	}
 }
 
-// freeze folds both conv+BN stages of the block (and the downsample pair);
-// the frozen block's bn fields are nil and Forward/Backward skip them.
+// freeze folds both conv+BN stages of the block (and the downsample pair)
+// and fuses the inner ReLU into conv1; the frozen block's bn and relu1
+// fields are nil.
 func (b *BasicBlock) freeze(share bool) *BasicBlock {
 	nb := &BasicBlock{
 		conv1: foldConvBN(b.conv1, b.bn1, share),
-		relu1: &ReLU{frozen: true},
 		conv2: foldConvBN(b.conv2, b.bn2, share),
 	}
+	nb.conv1.relu = true
 	if b.downConv != nil {
 		nb.downConv = foldConvBN(b.downConv, b.downBN, share)
 	}
@@ -120,10 +149,10 @@ func frozenParam(p *Param, share bool) *Param {
 // foldConvBN returns a frozen conv whose weights and bias absorb the batch
 // norm's inference affine transform (a nil bn folds nothing), with the
 // weights written once into tensor.ConvPacked's layout. A conv that is
-// already frozen has no batch norm after it; it is copied as it stands, or
-// shared for a lane.
+// already frozen has no batch norm after it; it is copied as it stands,
+// fused ReLU included, or shared for a lane.
 func foldConvBN(c *Conv2D, bn *BatchNorm2D, share bool) *Conv2D {
-	nc := &Conv2D{InC: c.InC, OutC: c.OutC, K: c.K, Stride: c.Stride, Pad: c.Pad, frozen: true}
+	nc := &Conv2D{InC: c.InC, OutC: c.OutC, K: c.K, Stride: c.Stride, Pad: c.Pad, frozen: true, relu: c.relu}
 	if c.frozen {
 		nc.weight, nc.bias = frozenParam(c.weight, share), frozenParam(c.bias, share)
 		return nc

@@ -76,21 +76,44 @@ func (n *Network) LoadParams(r io.Reader) error {
 
 // DecodeParams restores parameter vectors using an existing decoder.
 func (n *Network) DecodeParams(dec *gob.Decoder) error {
+	names, data, err := ReadParams(dec)
+	if err != nil {
+		return err
+	}
+	return n.SetParams(names, data)
+}
+
+// ReadParams decodes the parameter vectors EncodeParams wrote, with their
+// names, without a network to receive them, so a caller can check them
+// against the architecture it is about to build. gob refuses a length
+// claim larger than the bytes left in its input, so what ReadParams
+// allocates is bounded by the payload.
+func ReadParams(dec *gob.Decoder) (names []string, data [][]float64, err error) {
 	var s savedParams
 	if err := dec.Decode(&s); err != nil {
-		return fmt.Errorf("nn: decode params: %w", err)
+		return nil, nil, fmt.Errorf("nn: decode params: %w", err)
 	}
+	if len(s.Names) != len(s.Data) {
+		return nil, nil, fmt.Errorf("nn: params carry %d names for %d vectors", len(s.Names), len(s.Data))
+	}
+	return s.Names, s.Data, nil
+}
+
+// SetParams copies parameter vectors, as ReadParams returns them, into n,
+// whose architecture must declare the identical names and lengths in the
+// same order.
+func (n *Network) SetParams(names []string, data [][]float64) error {
 	params := n.Params()
-	if len(s.Data) != len(params) {
+	if len(data) != len(params) {
 		return fmt.Errorf("nn: parameter count mismatch: file has %d, network has %d",
-			len(s.Data), len(params))
+			len(data), len(params))
 	}
 	for i, p := range params {
-		if s.Names[i] != p.Name || len(s.Data[i]) != len(p.Data) {
+		if names[i] != p.Name || len(data[i]) != len(p.Data) {
 			return fmt.Errorf("nn: parameter %d mismatch: file %s[%d], network %s[%d]",
-				i, s.Names[i], len(s.Data[i]), p.Name, len(p.Data))
+				i, names[i], len(data[i]), p.Name, len(p.Data))
 		}
-		copy(p.Data, s.Data[i])
+		copy(p.Data, data[i])
 	}
 	return nil
 }

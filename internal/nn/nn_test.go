@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -397,6 +398,16 @@ func TestLoadParamsRejectsMismatch(t *testing.T) {
 	}
 	if err := c.LoadParams(&buf); err == nil {
 		t.Fatal("expected count mismatch error")
+	}
+	// A stream with fewer names than vectors (a crafted file) is an error,
+	// not an index past the names.
+	buf.Reset()
+	short := savedParams{Names: []string{"linear.weight"}, Data: [][]float64{make([]float64, 8), make([]float64, 2)}}
+	if err := gob.NewEncoder(&buf).Encode(short); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.LoadParams(&buf); err == nil {
+		t.Fatal("expected an error for a stream with fewer names than vectors")
 	}
 }
 

@@ -8,11 +8,13 @@ import (
 )
 
 // MaxPool2D is a square max pooling layer (the ResNet stem uses 3x3/2 pad 1).
-// A frozen max pool (see Network.Freeze) records no argmax.
+// A frozen max pool (see Network.Freeze) records no argmax and writes its
+// lane's arena.
 type MaxPool2D struct {
 	K, Stride, Pad int
 
-	frozen bool // inference-only: no argmax, Backward panics
+	frozen bool      // inference-only: no argmax, Backward panics
+	dst    arenaSlot // frozen only: where the output goes
 	in     *tensor.Tensor
 	argmax []int // input index chosen per output element
 	out    *tensor.Tensor
@@ -31,15 +33,16 @@ func NewMaxPool2D(k, stride, pad int) *MaxPool2D {
 
 // Forward implements Layer.
 func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	p.in = x
 	p.outH = (x.H+2*p.Pad-p.K)/p.Stride + 1
 	p.outW = (x.W+2*p.Pad-p.K)/p.Stride + 1
-	p.out = tensor.Ensure(p.out, x.N, x.C, p.outH, p.outW)
-	out := p.out
 	if p.frozen {
-		p.forwardFrozen(x)
+		out := p.dst.get(x.N, x.C, p.outH, p.outW)
+		p.forwardFrozen(x, out.Data)
 		return out
 	}
+	p.in = x
+	p.out = tensor.Ensure(p.out, x.N, x.C, p.outH, p.outW)
+	out := p.out
 	p.argmax = ensureI(p.argmax, out.Len())
 	oi := 0
 	for n := 0; n < x.N; n++ {
@@ -80,8 +83,7 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // every tap, and keeps Forward's ky-then-kx scan with a strict > from -Inf,
 // so ties between ±0, NaNs (never picked) and all -Inf windows resolve
 // exactly as there.
-func (p *MaxPool2D) forwardFrozen(x *tensor.Tensor) {
-	out := p.out.Data
+func (p *MaxPool2D) forwardFrozen(x *tensor.Tensor, out []float64) {
 	for plane := 0; plane < x.N*x.C; plane++ {
 		in := x.Data[plane*x.H*x.W : (plane+1)*x.H*x.W]
 		for oy := 0; oy < p.outH; oy++ {

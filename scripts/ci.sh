@@ -5,9 +5,9 @@
 # ILT session, candidate fan-out, predictor lanes reading one shared frozen
 # weight set and the pooled GEMM scratch), and short fuzz smokes on the GDS
 # and CSV readers, the artifact envelope, the serve job-spec decode and
-# content hash and the factory's lease, crash and attempts records and shard
-# names so hostile-input regressions surface before a long fuzz campaign
-# would find them. The repository benchmark module under bench/
+# content hash, the factory's lease, crash and attempts records and shard
+# names, and the predictor file inside its sealed envelope so hostile-input
+# regressions surface before a long fuzz campaign would find them. The repository benchmark module under bench/
 # imports the flow, ILT, litho, FFT, serve, model and sampling packages, so
 # it is vetted and tested here too: an API change that would break
 # bench/run.sh fails CI instead.
@@ -50,16 +50,29 @@ go test -run='^$' -fuzz='^FuzzReadCSV$' -fuzztime=10s ./internal/layout
 go test -run='^$' -fuzz='^FuzzUnseal$' -fuzztime=10s ./internal/artifact
 go test -run='^$' -fuzz='^FuzzJobSpec$' -fuzztime=10s ./internal/serve
 go test -run='^$' -fuzz='^FuzzShardRecords$' -fuzztime=10s ./internal/factory
+# The predictor seeds are 37 KB and 531 KB Write payloads. Left at its
+# default, the minimizer spends the smoke deleting their bytes one at a
+# time (4 executions in 10 s); capped at 20 runs per input, the smoke makes
+# ~75,000.
+go test -run='^$' -fuzz='^FuzzPredictorRead$' -fuzztime=10s -fuzzminimizetime=20x ./internal/model
 
 # Compute-engine gates: alloc-regression tests on the ILT and NN hot paths,
+# the frozen lanes' memory gate (TestResNet18LaneUnder15MB: a new 224²
+# ResNet-18 lane adds at most 15 MB of live heap with its first forward),
 # and 100-iteration smokes of the FFT and GEMM benchmarks, which include the
 # A/B comparisons against the reference engines the tests keep as oracles
-# (full-complex FFT, naive GEMM). BenchmarkAerialCell, one Aerial plus one
-# AerialBackward on the 4 nm and 8 nm cell rasters, is the benchmark that
-# sizes a row- or column-pass FFT change, and BenchmarkPredictR18, two 224²
-# ResNet-18 candidates on two lanes, the one that sizes a GEMM or frozen-
-# layer change; their smokes keep them running.
-go test -timeout 120s -run='ZeroAlloc|SteadyStateAllocs|HotPathZeroAlloc' ./internal/fft ./internal/litho ./internal/ilt ./internal/nn ./internal/tensor ./internal/par ./internal/model
+# (full-complex FFT, naive GEMM). The frozen lanes' activation arena is
+# also held, in the full suite and under -race above, by the arena tests:
+# TestFusedConvReLUMatchesUnfused (the ReLU fused into a conv's output pass
+# against conv then frozen ReLU, on planted ±0, NaN, ±Inf and subnormals),
+# TestFrozenBatchMatchesSingles (the in-place batch-1 GEMM against the
+# batch permute pass), TestFrozenForwardLeavesInput and
+# TestFrozenLanesForwardConcurrently. BenchmarkAerialCell, one Aerial plus
+# one AerialBackward on the 4 nm and 8 nm cell rasters, is the benchmark
+# that sizes a row- or column-pass FFT change, and BenchmarkPredictR18, two
+# 224² ResNet-18 candidates on two lanes, the one that sizes a GEMM or
+# frozen-layer change; their smokes keep them running.
+go test -timeout 120s -run='ZeroAlloc|SteadyStateAllocs|HotPathZeroAlloc|Under15MB' ./internal/fft ./internal/litho ./internal/ilt ./internal/nn ./internal/tensor ./internal/par ./internal/model
 go test -run='^$' -bench='^BenchmarkFFT' -benchtime=100x ./internal/fft
 go test -run='^$' -bench='^BenchmarkAerialCell$' -benchtime=20x ./internal/litho
 go test -run='^$' -bench='^BenchmarkGEMM' -benchtime=100x ./internal/tensor
