@@ -1,7 +1,10 @@
 // Command ldmo-serve is the long-running mask-optimization service: a JSON
 // HTTP API accepting layout jobs (library cell, generator seed, GDS upload,
 // or CSV), running the decompose -> predict -> ILT flow asynchronously on
-// the pipelined scheduler, and serving job status and results.
+// the pipelined scheduler, and serving job status and results. The executor
+// runs max(2, workers) slots; each claims the next queued job (round-robin
+// across clients) as soon as its last one has settled, and the prediction
+// requests of the jobs claimed at once share one batched predictor call.
 //
 // Usage:
 //
@@ -52,8 +55,7 @@ func main() {
 	dir := flag.String("dir", "ldmo-jobs", "job store directory")
 	modelPath := flag.String("model", "", "trained predictor file (optional)")
 	queueCap := flag.Int("queue", 64, "admission queue capacity (full queue sheds with 429)")
-	workers := flag.Int("workers", 0, "flow worker lanes (0 = GOMAXPROCS / LDMO_WORKERS)")
-	wave := flag.Int("wave", 0, "max jobs per pipelined wave (0 = max(2, workers))")
+	workers := flag.Int("workers", 0, "executor slots are max(2, workers) (0 = GOMAXPROCS / LDMO_WORKERS)")
 	jobDeadline := flag.Duration("job-deadline", 0, "default per-job wall budget (0 = unlimited)")
 	candIters := flag.Int("cand-iters", 0, "per-candidate ILT iteration cap (0 = optimizer default)")
 	retries := flag.Int("retries", 0, "attempts per job for transient failures (0 = 3)")
@@ -65,7 +67,6 @@ func main() {
 		Dir:      *dir,
 		QueueCap: *queueCap,
 		Workers:  *workers,
-		Wave:     *wave,
 		Budget: runx.Budget{
 			Wall:           *jobDeadline,
 			CandidateIters: *candIters,

@@ -1,25 +1,29 @@
-// Pipelined flow scheduling: RunPipeline carries many layouts through the
-// Fig. 2 flow with the three stages — candidate generation, printability
-// prediction, ILT mask optimization — overlapped across layouts instead of
-// run layout-at-a-time.
+// Pipelined flow scheduling: a fixed set of slots carries layouts through
+// the Fig. 2 flow with the three stages — candidate generation,
+// printability prediction, ILT mask optimization — overlapped across layouts
+// instead of run layout-at-a-time.
 //
-// The scheduler admits layouts in fixed-size chunks. Every admitted layout is
-// announced to a request-coalescing queue (par.Coalescer); a worker that
-// finishes generating a layout submits that layout's whole candidate-image
-// batch and blocks until the queue has collected the entire admitted wave,
-// at which point ONE PredictBatch call scores every candidate of every
-// in-flight layout. Prediction scores are a per-image function of the image
-// alone (see model.PredictBatchInto), so the coalesced scores are bitwise
-// what per-layout calls would have produced, and per-layout results are
-// merged by admission index — the whole pipeline is bitwise-identical to
-// running Flow.RunContext serially over the slice, at any worker count.
+// Each slot claims its next job as soon as its last one is done and
+// announces the claim to a request-coalescing queue (par.Coalescer) when it
+// makes it. A slot that finishes generating submits its layout's whole
+// candidate-image batch and blocks until every claimed job has submitted or
+// withdrawn; then ONE PredictBatch call scores every candidate of those
+// layouts. A slot waiting on an empty source holds no announcement, so it
+// never holds up a flush, and a claimed job reaches Do or Forgo without
+// waiting on any other job (generation never blocks), so every flush fires.
+// Prediction scores are a per-image function of the image alone (see
+// model.PredictBatchInto), so the coalesced scores are bitwise what
+// per-layout calls would have produced: each job's result is bitwise what
+// Flow.RunContext returns for it, at any slot count.
 //
-// Cancellation preserves a completed-prefix contract over admission order:
-// admitted layouts drain through their remaining stages exactly as a serial
+// RunStream feeds the slots from a caller's source; RunPipelineCtx feeds
+// them from a slice. Cancellation preserves a completed-prefix contract over
+// claim order: no slot claims once the pipeline context is done, claimed
+// layouts drain through their remaining stages exactly as a serial
 // RunContext under the same cancelled context would (generation and scoring
 // are not ctx-gated; the ILT attempt loop is, landing each on rung 3 of the
 // degradation ladder with its best attempted state), while layouts never
-// admitted are returned untouched, tagged Interrupted with the context's
+// claimed are returned untouched, tagged Interrupted with the context's
 // error and no work performed.
 package core
 
@@ -35,17 +39,12 @@ import (
 	"ldmo/internal/runx"
 )
 
-// PipelineOptions tunes the scheduler. The zero value selects the defaults.
+// PipelineOptions tunes RunPipelineCtx. The zero value selects the defaults.
 type PipelineOptions struct {
-	// Workers bounds layout-level parallelism; 0 selects par.Workers(). The
-	// scheduler runs max(Workers, Chunk) goroutines so a full admission wave
-	// can always assemble (a coalescing wave needs every member claimable at
-	// once); actual CPU parallelism stays bounded by GOMAXPROCS.
+	// Workers sizes the scheduler, which runs max(2, Workers) slots so that
+	// prediction coalesces across layouts even on a single-core host; 0
+	// selects par.Workers(). CPU parallelism stays bounded by GOMAXPROCS.
 	Workers int
-	// Chunk is the admission wave size — and therefore the coalesced
-	// PredictBatch granularity in layouts. 0 selects max(2, Workers), so
-	// batching happens even on a single-core host.
-	Chunk int
 }
 
 // PipeResult pairs one layout's flow outcome with its error, exactly what
@@ -55,23 +54,31 @@ type PipeResult struct {
 	Err error
 }
 
+// StreamJob is one job a RunStream source hands to a slot: the flow to run
+// it with (each job may carry its own config, but every job of one run
+// shares one scorer), the layout, and the callback that receives the result
+// on the slot's goroutine before the slot claims again.
+type StreamJob struct {
+	Flow   *Flow
+	Layout layout.Layout
+	Done   func(PipeResult)
+}
+
 // PipelineStats reports the scheduler's measured behavior. Busy durations
-// are summed across workers; divide by Wall*Workers for occupancy.
+// are summed across slots; divide by Wall*Workers for occupancy.
 type PipelineStats struct {
-	// Workers is the scheduler goroutine count actually run; Chunk the
-	// admission wave size; Layouts the input count.
+	// Workers is the slot count; Layouts the number of jobs the slots ran.
 	Workers int
-	Chunk   int
 	Layouts int
 	// Coalesce counts prediction amortization: Flushes is the number of
 	// scorer invocations issued, Requests the per-layout prediction
 	// requests they served (the serial flow issues one invocation per
-	// request), MaxBatch the largest wave.
+	// request), MaxBatch the largest flush.
 	Coalesce par.CoalesceStats
 	// Images is the total number of candidate images scored.
 	Images int
-	// Per-stage busy time summed over workers. ScoreWait additionally
-	// counts time spent blocked waiting for a wave to assemble; the actual
+	// Per-stage busy time summed over slots. ScoreWait additionally counts
+	// time spent blocked waiting for the claimed jobs to submit; the actual
 	// inference time is PredictBusy.
 	GenBusy     time.Duration
 	PredictBusy time.Duration
@@ -81,64 +88,27 @@ type PipelineStats struct {
 	Wall time.Duration
 }
 
-// pipeSched is the shared state of one RunPipelineCtx invocation.
-type pipeSched struct {
-	f       *Flow
-	ls      []layout.Layout
-	results []PipeResult
-
-	mu       sync.Mutex
-	cond     *sync.Cond
-	next     int // next unclaimed layout index
-	admitted int // indices < admitted are claimable
-	resolved int // layouts whose scoring stage has resolved
-	chunk    int
-	ctx      context.Context // pipeline context: admission gate + layout runs
-	cancel   context.CancelFunc
-	nDone    int // completed layout runs, for the cancel-after fault point
+// stream is the shared state of one scheduler run.
+type stream struct {
+	ctx    context.Context // pipeline context: claim gate + layout runs
+	cancel context.CancelFunc
+	next   func(context.Context) (StreamJob, bool)
 
 	co *par.Coalescer[*layoutRun, struct{}]
 	// flush-owned concatenation buffers; only one flush runs at a time.
 	imgbuf []*grid.Grid
 	outbuf []float64
 
+	mu    sync.Mutex
 	stats PipelineStats
 }
 
-// RunPipeline is RunPipelineCtx without external cancellation.
-func (f *Flow) RunPipeline(ls []layout.Layout, po PipelineOptions) ([]PipeResult, PipelineStats) {
-	return f.RunPipelineCtx(context.Background(), ls, po)
-}
-
-// RunPipelineCtx runs the flow over every layout with pipelined scheduling
-// and coalesced prediction. results[i] is bitwise what RunContext(ctx,
-// ls[i]) returns; see the package comment for the determinism and
-// cancellation contracts.
-func (f *Flow) RunPipelineCtx(ctx context.Context, ls []layout.Layout, po PipelineOptions) ([]PipeResult, PipelineStats) {
+// newStream sets up a scheduler run over a source.
+func newStream(ctx context.Context, next func(context.Context) (StreamJob, bool)) *stream {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	w := po.Workers
-	if w <= 0 {
-		w = par.Workers()
-	}
-	chunk := po.Chunk
-	if chunk <= 0 {
-		chunk = max(2, w)
-	}
-	// A wave only flushes once every member has submitted, so there must be
-	// at least one goroutine per wave member to carry it to the queue.
-	if w < chunk {
-		w = chunk
-	}
-
-	s := &pipeSched{
-		f:       f,
-		ls:      ls,
-		results: make([]PipeResult, len(ls)),
-		chunk:   chunk,
-	}
-	s.cond = sync.NewCond(&s.mu)
+	s := &stream{next: next}
 	// Derive a cancellable pipeline context only when cancellation can
 	// actually occur (cancellable parent, or the cancel-after fault armed).
 	// A cancellable context flips the ILT optimizer into best-so-far
@@ -150,160 +120,169 @@ func (f *Flow) RunPipelineCtx(ctx context.Context, ls []layout.Layout, po Pipeli
 	} else {
 		s.ctx, s.cancel = ctx, func() {}
 	}
-	defer s.cancel()
 	s.co = par.NewCoalescer[*layoutRun, struct{}](0, s.flushPredict)
-	s.stats.Workers = w
-	s.stats.Chunk = chunk
-	s.stats.Layouts = len(ls)
+	return s
+}
 
-	start := time.Now()
-	if len(ls) > 0 {
-		s.mu.Lock()
-		s.admit()
-		s.mu.Unlock()
+// RunStream runs jobs from next on slots goroutines and returns the
+// scheduler's statistics once every slot has exited. Each slot calls next
+// for its next job as soon as its last one is done; next must be safe for
+// concurrent use, may block until a job arrives, and reports false when no
+// job will come, at the latest once the context it is passed is done. No
+// slot claims once that context, derived from ctx, is done. Each job's
+// result is bitwise what job.Flow.RunContext(ctx, job.Layout) returns.
+func RunStream(ctx context.Context, slots int, next func(context.Context) (StreamJob, bool)) PipelineStats {
+	s := newStream(ctx, next)
+	defer s.cancel()
+	s.run(max(1, slots), nil)
+	return s.stats
+}
 
-		// Wake claim-waiters when the pipeline context dies so they can
-		// observe the closed admission window and exit.
-		watchDone := make(chan struct{})
-		go func() {
-			select {
-			case <-s.ctx.Done():
-			case <-watchDone:
-			}
-			s.cond.Broadcast()
-		}()
+// RunPipeline is RunPipelineCtx without external cancellation.
+func (f *Flow) RunPipeline(ls []layout.Layout, po PipelineOptions) ([]PipeResult, PipelineStats) {
+	return f.RunPipelineCtx(context.Background(), ls, po)
+}
 
-		var wg sync.WaitGroup
-		for i := 0; i < w; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				s.work()
-			}()
-		}
-		wg.Wait()
-		close(watchDone)
+// RunPipelineCtx runs the flow over every layout on the slot scheduler with
+// coalesced prediction. results[i] is bitwise what RunContext(ctx, ls[i])
+// returns; see the package comment for the determinism and cancellation
+// contracts. Layouts are claimed in index order, and one layout per slot is
+// claimed and announced before any slot generates, so the opening wave
+// coalesces whatever the goroutine timing.
+func (f *Flow) RunPipelineCtx(ctx context.Context, ls []layout.Layout, po PipelineOptions) ([]PipeResult, PipelineStats) {
+	w := po.Workers
+	if w <= 0 {
+		w = par.Workers()
 	}
+	slots := max(2, w)
+	results := make([]PipeResult, len(ls))
+	var mu sync.Mutex
+	claimed := 0
+	s := newStream(ctx, func(context.Context) (StreamJob, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if claimed >= len(ls) {
+			return StreamJob{}, false
+		}
+		i := claimed
+		claimed++
+		return StreamJob{Flow: f, Layout: ls[i], Done: func(r PipeResult) { results[i] = r }}, true
+	})
+	defer s.cancel()
+	var opening []StreamJob
+	for len(opening) < slots {
+		job, ok := s.claim()
+		if !ok {
+			break
+		}
+		opening = append(opening, job)
+	}
+	s.run(slots, opening)
 
-	// Whatever was never admitted was cancelled before any of its work
-	// began: no generation, no scoring, no masks — just the tag and cause.
-	for i := s.admitted; i < len(ls); i++ {
-		s.results[i] = PipeResult{
+	// Whatever was never claimed was cancelled before any of its work began:
+	// no generation, no scoring, no masks — just the tag and cause.
+	for i := claimed; i < len(ls); i++ {
+		results[i] = PipeResult{
 			Res: Result{Layout: ls[i], Interrupted: true},
 			Err: s.ctx.Err(),
 		}
 	}
+	return results, s.stats
+}
 
+// run starts the slots, slot i with opening[i] already claimed when there is
+// one, and waits for all of them to exit.
+func (s *stream) run(slots int, opening []StreamJob) {
+	s.stats.Workers = slots
+	start := time.Now()
+	var wg sync.WaitGroup
+	for i := 0; i < slots; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var job StreamJob
+			ok := i < len(opening)
+			if ok {
+				job = opening[i]
+			} else {
+				job, ok = s.claim()
+			}
+			for ; ok; job, ok = s.claim() {
+				s.runJob(job)
+			}
+		}()
+	}
+	wg.Wait()
 	s.stats.Wall = time.Since(start)
 	s.stats.Coalesce = s.co.Stats()
-	return s.results, s.stats
 }
 
-// admit opens the next chunk of layouts for claiming and announces them to
-// the coalescer, but only once the previous wave has fully resolved — one
-// wave is outstanding at a time, which is what makes a blocked Do always
-// eventually flush. Callers hold s.mu.
-func (s *pipeSched) admit() {
-	if s.resolved < s.admitted || s.admitted >= len(s.ls) {
-		return
-	}
+// claim takes the next job from the source and announces it to the
+// coalescer, unless the pipeline context is done.
+func (s *stream) claim() (StreamJob, bool) {
 	if s.ctx.Err() != nil {
-		// Cancelled: stop admitting. In-flight layouts drain; the rest are
-		// reported untouched by RunPipelineCtx.
-		return
+		return StreamJob{}, false
 	}
-	n := min(s.chunk, len(s.ls)-s.admitted)
-	s.admitted += n
-	s.co.Expect(n)
-	s.cond.Broadcast()
-}
-
-// work is one scheduler goroutine: claim admitted layouts in index order and
-// run each through the flow stages until the admission window closes.
-func (s *pipeSched) work() {
-	for {
-		s.mu.Lock()
-		for s.next >= s.admitted && s.admitted < len(s.ls) && s.ctx.Err() == nil {
-			s.cond.Wait()
-		}
-		if s.next >= s.admitted {
-			// Nothing claimable and no admission coming: done (all admitted,
-			// or cancelled).
-			s.mu.Unlock()
-			return
-		}
-		i := s.next
-		s.next++
-		s.mu.Unlock()
-		s.runLayout(i)
+	job, ok := s.next(s.ctx)
+	if ok {
+		s.co.Expect(1)
 	}
+	return job, ok
 }
 
-// resolveScoring marks layout's scoring stage resolved (its Do returned, or
-// it withdrew) and, when it was the wave's last, admits the next chunk.
-func (s *pipeSched) resolveScoring() {
-	s.mu.Lock()
-	s.resolved++
-	s.admit()
-	s.mu.Unlock()
-}
-
-// runLayout carries one layout through generate -> (coalesced) score ->
-// optimize, storing the PipeResult slot i. Every admitted layout resolves
-// its coalescer announcement on every path — that invariant is what keeps
-// waves flushing.
-func (s *pipeSched) runLayout(i int) {
+// runJob carries one claimed job through generate -> (coalesced) score ->
+// optimize and hands the result to its callback. Every claimed job resolves
+// its announcement, by Do or Forgo, without waiting on any other job — that
+// invariant is what keeps flushes firing.
+func (s *stream) runJob(job StreamJob) {
 	t0 := time.Now()
-	lr, err := s.f.generate(s.ls[i])
+	lr, err := job.Flow.generate(job.Layout)
 	s.addBusy(&s.stats.GenBusy, time.Since(t0))
 	if err != nil {
 		s.co.Forgo()
-		s.resolveScoring()
-		s.results[i] = PipeResult{Err: err}
-		s.finishLayout()
+		s.finish(job, PipeResult{Err: err})
 		return
 	}
 	if lr.imgs == nil {
 		// No prediction for this layout (nil scorer or a single candidate);
-		// withdraw so the wave is not held up.
+		// withdraw so the claimed jobs' flush is not held up.
 		s.co.Forgo()
-		s.resolveScoring()
 	} else {
 		t1 := time.Now()
 		_, serr := s.co.Do(lr)
-		s.resolveScoring()
 		s.addBusy(&s.stats.ScoreWait, time.Since(t1))
 		lr.applyScores(lr.scores, serr)
 	}
 	t2 := time.Now()
-	lctx, lcancel := s.f.cfg.Budget.Apply(s.ctx)
+	lctx, lcancel := job.Flow.cfg.Budget.Apply(s.ctx)
 	res, rerr := lr.optimize(lctx)
 	lcancel()
 	s.addBusy(&s.stats.OptBusy, time.Since(t2))
-	s.results[i] = PipeResult{Res: res, Err: rerr}
-	s.finishLayout()
+	s.finish(job, PipeResult{Res: res, Err: rerr})
 }
 
-// finishLayout counts a completed layout run and services the cancel-after
-// fault point: when armed with n, the pipeline cancels its own context once
-// n layouts have finished, deterministically exercising the drain path.
-func (s *pipeSched) finishLayout() {
+// finish delivers a job's result, counts the job, and services the
+// cancel-after fault point: when armed with n, the pipeline cancels its own
+// context once n jobs have finished, deterministically exercising the drain
+// path.
+func (s *stream) finish(job StreamJob, r PipeResult) {
+	job.Done(r)
 	s.mu.Lock()
-	s.nDone++
-	done := s.nDone
+	s.stats.Layouts++
+	done := s.stats.Layouts
 	s.mu.Unlock()
 	if n := faultinject.ArgInt(faultinject.CancelAfter, -1); n >= 0 && done >= n {
 		s.cancel()
 	}
 }
 
-// flushPredict services one coalesced wave: concatenate every in-flight
-// layout's candidate images, score them with a single call behind the same
-// panic-recovery boundary the serial flow uses, and hand each layout its
-// slice of the scores. Runs on the last-arriving producer's goroutine; the
-// coalescer guarantees a single flush at a time, so the concat buffers are
-// reused flush to flush.
-func (s *pipeSched) flushPredict(reqs []*layoutRun, _ []struct{}) error {
+// flushPredict services one coalesced batch: concatenate every claimed
+// layout's candidate images, score them with a single call to the run's
+// shared scorer behind the same panic-recovery boundary the serial flow
+// uses, and hand each layout its slice of the scores. Runs on the
+// last-arriving producer's goroutine; the coalescer guarantees a single
+// flush at a time, so the concat buffers are reused flush to flush.
+func (s *stream) flushPredict(reqs []*layoutRun, _ []struct{}) error {
 	t0 := time.Now()
 	defer func() { s.addBusy(&s.stats.PredictBusy, time.Since(t0)) }()
 
@@ -327,11 +306,11 @@ func (s *pipeSched) flushPredict(reqs []*layoutRun, _ []struct{}) error {
 		if faultinject.Enabled(faultinject.ScorerPanic) {
 			panic("faultinject: scorer panic")
 		}
-		predictInto(s.f.scorer, s.imgbuf, out)
+		predictInto(reqs[0].f.scorer, s.imgbuf, out)
 		return nil
 	})
 	if err != nil {
-		// The whole wave degrades to rung 1, exactly as each layout's own
+		// The whole batch degrades to rung 1, exactly as each layout's own
 		// PredictBatch call would have (the fault is sticky / systemic).
 		return err
 	}
@@ -361,7 +340,7 @@ func predictInto(sc Scorer, imgs []*grid.Grid, out []float64) {
 }
 
 // addBusy accumulates a stage duration under the scheduler lock.
-func (s *pipeSched) addBusy(d *time.Duration, dt time.Duration) {
+func (s *stream) addBusy(d *time.Duration, dt time.Duration) {
 	s.mu.Lock()
 	*d += dt
 	s.mu.Unlock()

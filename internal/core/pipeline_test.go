@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -113,7 +114,7 @@ func mustEqualResult(t *testing.T, tag string, got, want PipeResult) {
 // TestPipelineMatchesSerialBitwise is the golden acceptance test: the
 // pipelined flow returns, for every layout, exactly what serial RunContext
 // returns — scores, chosen decomposition, optimized masks, model seconds —
-// at every worker/chunk shape, with both a synthetic and the real scorer.
+// at every worker count, with both a synthetic and the real scorer.
 func TestPipelineMatchesSerialBitwise(t *testing.T) {
 	ls := pipeLayouts(t, 4)
 	pred, err := model.New(model.TinyConfig())
@@ -132,8 +133,9 @@ func TestPipelineMatchesSerialBitwise(t *testing.T) {
 			want := serialRef(t, f, ls)
 			for _, po := range []PipelineOptions{
 				{Workers: 1},
-				{Workers: 3, Chunk: 2},
-				{Workers: 2, Chunk: 4},
+				{Workers: 2},
+				{Workers: 3},
+				{Workers: 4},
 			} {
 				got, stats := f.RunPipeline(ls, po)
 				for i := range want {
@@ -157,7 +159,7 @@ func TestPipelineCoalescesPredictions(t *testing.T) {
 	ls := pipeLayouts(t, 6)
 	var calls atomic.Int64
 	f := NewFlow(countingScorer{calls: &calls}, fastConfig())
-	_, stats := f.RunPipeline(ls, PipelineOptions{Workers: 2, Chunk: 3})
+	_, stats := f.RunPipeline(ls, PipelineOptions{Workers: 3})
 	if got := int(calls.Load()); got != stats.Coalesce.Flushes {
 		t.Fatalf("scorer saw %d calls, coalescer reports %d flushes", got, stats.Coalesce.Flushes)
 	}
@@ -176,7 +178,7 @@ func TestPipelineCoalescesPredictions(t *testing.T) {
 // cancels the pipeline's own context after the first completed layout; the
 // scheduler must drain without deadlock, completed layouts must be bitwise
 // serial results, in-flight layouts land interrupted with their work
-// attempted, and never-admitted layouts form a suffix with no work done.
+// attempted, and never-claimed layouts form a suffix with no work done.
 func TestPipelineCancelAfterDrains(t *testing.T) {
 	defer faultinject.Reset()
 	ls := pipeLayouts(t, 6)
@@ -193,7 +195,7 @@ func TestPipelineCancelAfterDrains(t *testing.T) {
 	}
 
 	faultinject.Set(faultinject.CancelAfter, "1")
-	got, _ := f.RunPipeline(ls, PipelineOptions{Workers: 1, Chunk: 2})
+	got, _ := f.RunPipeline(ls, PipelineOptions{Workers: 1})
 	faultinject.Reset()
 
 	completed, undispatched := 0, 0
@@ -286,7 +288,7 @@ func TestPipelineGenErrorIsPerLayout(t *testing.T) {
 	ls := pipeLayouts(t, 3)
 	ls[1] = layout.Layout{Name: "empty"} // no patterns: generation errors
 	f := NewFlow(contentScorer{}, fastConfig())
-	got, stats := f.RunPipeline(ls, PipelineOptions{Workers: 2, Chunk: 3})
+	got, stats := f.RunPipeline(ls, PipelineOptions{Workers: 3})
 	if got[1].Err == nil {
 		t.Fatal("empty layout must error")
 	}
@@ -316,5 +318,41 @@ func TestPipelineEmptyAndNilScorer(t *testing.T) {
 	}
 	if stats.Coalesce.Requests != 0 || stats.Coalesce.Flushes != 0 {
 		t.Fatalf("nil scorer must not reach the coalescer: %+v", stats.Coalesce)
+	}
+}
+
+// TestRunStreamPerJobConfigsMatchSerial: a stream run carries jobs of
+// different flow configs (8 nm and 4 nm rasters, different attempt caps)
+// sharing one scorer; each job's result is bitwise its own flow's serial
+// RunContext, and the stats count every job once.
+func TestRunStreamPerJobConfigsMatchSerial(t *testing.T) {
+	ls := pipeLayouts(t, 5)
+	cfg4 := DefaultConfig()
+	cfg4.MaxAttempts = 2
+	flows := []*Flow{NewFlow(contentScorer{}, fastConfig()), NewFlow(contentScorer{}, cfg4)}
+	want := make([]PipeResult, len(ls))
+	for i, l := range ls {
+		res, err := flows[i%2].RunContext(context.Background(), l)
+		want[i] = PipeResult{Res: res, Err: err}
+	}
+
+	got := make([]PipeResult, len(ls))
+	var mu sync.Mutex
+	claimed := 0
+	stats := RunStream(context.Background(), 2, func(context.Context) (StreamJob, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if claimed == len(ls) {
+			return StreamJob{}, false
+		}
+		i := claimed
+		claimed++
+		return StreamJob{Flow: flows[i%2], Layout: ls[i], Done: func(r PipeResult) { got[i] = r }}, true
+	})
+	for i := range want {
+		mustEqualResult(t, "stream", got[i], want[i])
+	}
+	if stats.Layouts != len(ls) || stats.Coalesce.Requests != len(ls) || stats.Workers != 2 {
+		t.Fatalf("stats: %+v", stats)
 	}
 }

@@ -179,12 +179,6 @@ func (s JobSpec) canonicalJSON() []byte {
 	return b
 }
 
-// groupKey buckets specs whose jobs can share one pipelined flow invocation:
-// everything that feeds core.Config must match.
-func (s JobSpec) groupKey() string {
-	return fmt.Sprintf("fast=%v deadline=%d attempts=%d", s.Fast, s.DeadlineMS, s.MaxAttempts)
-}
-
 // Status is a job's lifecycle state.
 type Status string
 

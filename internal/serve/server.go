@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"ldmo/internal/core"
+	"ldmo/internal/grid"
 	"ldmo/internal/layout"
 	"ldmo/internal/litho"
 	"ldmo/internal/par"
@@ -30,11 +31,9 @@ type Config struct {
 	// QueueCap bounds the admission queue; submissions beyond it are shed
 	// with 429. <=0 selects 64.
 	QueueCap int
-	// Wave bounds how many queued jobs one pipelined flow invocation carries;
-	// <=0 selects max(2, Workers).
-	Wave int
-	// Workers bounds flow parallelism (the pipelined scheduler may run more
-	// goroutines to assemble coalescing waves; CPU use stays bounded by
+	// Workers sizes the executor: max(2, Workers) slots each claim the next
+	// queued job as soon as their last one settles, so prediction coalesces
+	// across jobs even on a single-core host (CPU use stays bounded by
 	// GOMAXPROCS). <=0 selects par.Workers().
 	Workers int
 	// Budget is the default per-job budget; a job's deadline_ms overrides
@@ -45,7 +44,9 @@ type Config struct {
 	// the zero value selects runx defaults (3 attempts).
 	Retry runx.RetryConfig
 	// Scorer is the optional trained predictor; nil degrades every job to
-	// generator candidate order (the no-predictor ablation).
+	// generator candidate order (the no-predictor ablation). It is fixed for
+	// the server's life: NewServer reads its Digest once for the job IDs,
+	// and the server serializes every prediction it makes with it.
 	Scorer core.Scorer
 	// RetryAfter is the hint sent with 429 responses; <=0 selects 1s.
 	RetryAfter time.Duration
@@ -74,9 +75,16 @@ type Server struct {
 	cfg   Config
 	store *Store
 	queue *fairQueue
+	// scorer is cfg.Scorer behind the server's one prediction lock (nil
+	// without a scorer); fp is cfg.Scorer's provenance string for jobID.
+	scorer core.Scorer
+	fp     string
 
 	mu   sync.Mutex
 	jobs map[string]*jobEntry
+	// running counts the jobs in StatusRunning; it changes only under mu,
+	// in setStatus.
+	running atomic.Int64
 
 	draining  atomic.Bool
 	wake      chan struct{}
@@ -106,9 +114,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = par.Workers()
 	}
-	if cfg.Wave <= 0 {
-		cfg.Wave = max(2, cfg.Workers)
-	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = time.Second
 	}
@@ -120,9 +125,13 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg:   cfg,
 		store: store,
 		queue: newFairQueue(cfg.QueueCap),
+		fp:    fingerprint(cfg.Scorer),
 		jobs:  map[string]*jobEntry{},
 		wake:  make(chan struct{}, 1),
 		done:  make(chan struct{}),
+	}
+	if cfg.Scorer != nil {
+		s.scorer = &lockedScorer{sc: cfg.Scorer}
 	}
 	s.runCtx, s.runCancel = context.WithCancel(context.Background())
 
@@ -182,7 +191,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	defer s.mu.Unlock()
 	for _, e := range s.jobs {
 		if e.state.Status == StatusRunning {
-			e.state.Status = StatusQueued
+			s.setStatus(e, StatusQueued)
 			e.state.StartedUnix = 0
 			if err := s.store.PutState(e.state); err != nil {
 				return err
@@ -192,16 +201,20 @@ func (s *Server) Drain(ctx context.Context) error {
 	return nil
 }
 
+// setStatus moves a job to status st and keeps the running count. Callers
+// hold s.mu.
+func (s *Server) setStatus(e *jobEntry, st Status) {
+	if e.state.Status == StatusRunning {
+		s.running.Add(-1)
+	}
+	if st == StatusRunning {
+		s.running.Add(1)
+	}
+	e.state.Status = st
+}
+
 // Stats snapshots the counters.
 func (s *Server) Stats() Stats {
-	s.mu.Lock()
-	running := 0
-	for _, e := range s.jobs {
-		if e.state.Status == StatusRunning {
-			running++
-		}
-	}
-	s.mu.Unlock()
 	return Stats{
 		Submitted: s.nSubmitted.Load(),
 		Accepted:  s.nAccepted.Load(),
@@ -212,7 +225,7 @@ func (s *Server) Stats() Stats {
 		Retries:   s.nRetries.Load(),
 		Requeued:  s.nRequeued.Load(),
 		QueueLen:  s.queue.Len(),
-		Running:   running,
+		Running:   int(s.running.Load()),
 		Draining:  s.draining.Load(),
 	}
 }
@@ -322,7 +335,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				s.shed(w)
 				return
 			}
-			e.state.Status = StatusQueued
+			s.setStatus(e, StatusQueued)
 			e.state.Error = ""
 			e.state.Result = nil
 			e.state.StartedUnix, e.state.FinishedUnix = 0, 0
@@ -434,110 +447,67 @@ func (s *Server) pokeExecutor() {
 	}
 }
 
-// run is the executor loop: pop fair waves of queued jobs and carry each
-// wave through the pipelined flow scheduler until drained.
+// run is the executor: one long-lived run of the slot scheduler, each slot
+// claiming the next queued job as soon as its last one has settled, until
+// the server's context ends.
 func (s *Server) run() {
 	defer close(s.done)
+	core.RunStream(s.runCtx, max(2, s.cfg.Workers), s.claim)
+}
+
+// claim hands a free slot its next job: fair round-robin across clients,
+// marked running and persisted before it runs, with its own flow config and
+// the server's scorer. With nothing to claim it waits for the executor's
+// wake-up or for ctx to end, and reports false once ctx has ended.
+func (s *Server) claim(ctx context.Context) (core.StreamJob, bool) {
 	for {
-		if s.runCtx.Err() != nil {
-			return
+		if ctx.Err() != nil {
+			return core.StreamJob{}, false
 		}
-		ids := s.popWave()
-		if len(ids) == 0 {
-			select {
-			case <-s.wake:
-			case <-s.runCtx.Done():
-				return
+		if id, spec, ok := s.popJob(); ok {
+			l, err := spec.Layout()
+			if err != nil {
+				// The spec materialized at submission; one that stopped
+				// doing so fails permanently.
+				s.settleFailed(id, 0, fmt.Errorf("materialize layout: %w", err), nil)
+				continue
 			}
-			continue
+			flow := core.NewFlow(s.scorer, s.flowConfig(spec))
+			return core.StreamJob{Flow: flow, Layout: l, Done: func(r core.PipeResult) {
+				s.settle(id, l, flow, r.Res, r.Err)
+			}}, true
 		}
-		s.runWave(ids)
+		select {
+		case <-s.wake:
+		case <-ctx.Done():
+			return core.StreamJob{}, false
+		}
 	}
 }
 
-// popWave claims up to Wave queued jobs (fair round-robin across clients)
-// and marks them running.
-func (s *Server) popWave() []string {
-	var ids []string
+// popJob pops the next queued job and marks it running. When jobs remain
+// queued it passes the wake-up on, so another idle slot claims one too.
+func (s *Server) popJob() (string, JobSpec, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for len(ids) < s.cfg.Wave {
+	for {
 		id, ok := s.queue.Pop()
 		if !ok {
-			break
+			return "", JobSpec{}, false
 		}
 		e, ok := s.jobs[id]
 		if !ok || e.state.Status != StatusQueued {
 			continue // removed or already settled; skip
 		}
-		e.state.Status = StatusRunning
+		s.setStatus(e, StatusRunning)
 		e.state.StartedUnix = time.Now().Unix()
 		if err := s.store.PutState(e.state); err != nil {
 			s.logf("serve: persist running %s: %v", id, err)
 		}
-		ids = append(ids, id)
-	}
-	return ids
-}
-
-// runWave executes claimed jobs: grouped by flow configuration, each group
-// runs as ONE pipelined-scheduler invocation with coalesced prediction, then
-// every member settles (possibly via individual retries).
-func (s *Server) runWave(ids []string) {
-	groups := map[string][]string{}
-	var order []string
-	s.mu.Lock()
-	for _, id := range ids {
-		k := s.jobs[id].spec.groupKey()
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
+		if s.queue.Len() > 0 {
+			s.pokeExecutor()
 		}
-		groups[k] = append(groups[k], id)
-	}
-	s.mu.Unlock()
-
-	for _, k := range order {
-		group := groups[k]
-		if s.runCtx.Err() != nil {
-			s.requeue(group)
-			continue
-		}
-		s.runGroup(group)
-	}
-}
-
-// runGroup runs one same-config batch of jobs through Flow.RunPipelineCtx.
-func (s *Server) runGroup(ids []string) {
-	s.mu.Lock()
-	spec0 := s.jobs[ids[0]].spec
-	specs := make([]JobSpec, len(ids))
-	for i, id := range ids {
-		specs[i] = s.jobs[id].spec
-	}
-	s.mu.Unlock()
-
-	flow := core.NewFlow(s.cfg.Scorer, s.flowConfig(spec0))
-
-	// Materialize layouts; a spec that stopped materializing (it did at
-	// submission) fails permanently.
-	var runIDs []string
-	var ls []layout.Layout
-	for i, id := range ids {
-		l, err := specs[i].Layout()
-		if err != nil {
-			s.settleFailed(id, 0, fmt.Errorf("materialize layout: %w", err), nil)
-			continue
-		}
-		runIDs = append(runIDs, id)
-		ls = append(ls, l)
-	}
-	if len(runIDs) == 0 {
-		return
-	}
-
-	results, _ := flow.RunPipelineCtx(s.runCtx, ls, core.PipelineOptions{Workers: s.cfg.Workers})
-	for i, id := range runIDs {
-		s.settle(id, ls[i], flow, results[i].Res, results[i].Err)
+		return id, e.spec, true
 	}
 }
 
@@ -563,25 +533,53 @@ func (s *Server) flowConfig(spec JobSpec) core.Config {
 // server without a digestable predictor keeps the plain spec.ID(), so job
 // IDs (and on-disk stores) from before the provenance mechanism stay valid.
 func (s *Server) jobID(spec JobSpec) string {
-	fp := s.fingerprint()
-	if fp == "" {
+	if s.fp == "" {
 		return spec.ID()
 	}
 	h := sha256.New()
 	h.Write(spec.canonicalJSON())
 	h.Write([]byte{0})
-	h.Write([]byte(fp))
+	h.Write([]byte(s.fp))
 	return "j-" + hex.EncodeToString(h.Sum(nil)[:8])
 }
 
 // fingerprint is the engine provenance string: the predictor's checkpoint
 // digest. A scorer that does not expose a Digest (test fakes, ablation
-// stubs) contributes nothing.
-func (s *Server) fingerprint() string {
-	if d, ok := s.cfg.Scorer.(interface{ Digest() string }); ok {
+// stubs) contributes nothing. A predictor's digest gob-encodes and hashes
+// every weight, so NewServer computes it once.
+func fingerprint(sc core.Scorer) string {
+	if d, ok := sc.(interface{ Digest() string }); ok {
 		return "scorer=" + d.Digest()
 	}
 	return ""
+}
+
+// lockedScorer serializes every prediction the server makes. Slots flush
+// coalesced batches while a settling job's retries score on their own, and
+// a model.Predictor is not safe for concurrent use.
+type lockedScorer struct {
+	mu sync.Mutex
+	sc core.Scorer
+}
+
+func (l *lockedScorer) PredictBatch(imgs []*grid.Grid) []float64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.sc.PredictBatch(imgs)
+}
+
+// PredictBatchInto keeps the scheduler's allocation-free flush path for a
+// scorer that has one.
+func (l *lockedScorer) PredictBatchInto(imgs []*grid.Grid, out []float64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if bi, ok := l.sc.(interface {
+		PredictBatchInto([]*grid.Grid, []float64)
+	}); ok {
+		bi.PredictBatchInto(imgs, out)
+		return
+	}
+	copy(out, l.sc.PredictBatch(imgs))
 }
 
 // transientScorer marks a scorer fallback treated as transient: the
@@ -632,7 +630,7 @@ func (s *Server) settle(id string, l layout.Layout, flow *core.Flow, res core.Re
 		// under a dead server context is shutdown truncation, not a job
 		// outcome. Put the job back for the next life, which recomputes it
 		// in full — never persist shutdown-shaped bytes.
-		s.requeue([]string{id})
+		s.requeue(id)
 		return
 	}
 	if terr := transientOutcome(res, err); terr == nil && err == nil {
@@ -641,7 +639,7 @@ func (s *Server) settle(id string, l layout.Layout, flow *core.Flow, res core.Re
 	}
 	if s.runCtx.Err() != nil {
 		// Transient failure, but no retries can run under a dead context.
-		s.requeue([]string{id})
+		s.requeue(id)
 		return
 	}
 
@@ -678,7 +676,7 @@ func (s *Server) settle(id string, l layout.Layout, flow *core.Flow, res core.Re
 	if s.runCtx.Err() != nil && (err != nil || res.Interrupted) {
 		// Shutdown landed during the retries: same rule as above — requeue
 		// rather than persist truncated state.
-		s.requeue([]string{id})
+		s.requeue(id)
 		return
 	}
 	if err == nil {
@@ -715,7 +713,7 @@ func (s *Server) settleDone(id string, res core.Result, retries int, degraded bo
 	if !ok {
 		return
 	}
-	e.state.Status = StatusDone
+	s.setStatus(e, StatusDone)
 	e.state.Result = r
 	e.state.Error = note
 	e.state.FinishedUnix = time.Now().Unix()
@@ -732,7 +730,7 @@ func (s *Server) settleFailed(id string, retries int, cause error, partial *Resu
 	if !ok {
 		return
 	}
-	e.state.Status = StatusFailed
+	s.setStatus(e, StatusFailed)
 	e.state.Error = cause.Error()
 	e.state.Result = partial
 	e.state.FinishedUnix = time.Now().Unix()
@@ -743,23 +741,21 @@ func (s *Server) settleFailed(id string, retries int, cause error, partial *Resu
 	s.logf("serve: job %s failed after %d retr%s: %v", id, retries, plural(retries, "y", "ies"), cause)
 }
 
-// requeue checkpoints claimed-but-unfinished jobs back to queued (drain and
-// crash paths); the next executor life picks them up.
-func (s *Server) requeue(ids []string) {
+// requeue checkpoints a claimed-but-unfinished job back to queued (drain
+// path); the next executor life picks it up.
+func (s *Server) requeue(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, id := range ids {
-		e, ok := s.jobs[id]
-		if !ok || e.state.Status != StatusRunning {
-			continue
-		}
-		e.state.Status = StatusQueued
-		e.state.StartedUnix = 0
-		if err := s.store.PutState(e.state); err != nil {
-			s.logf("serve: persist requeue %s: %v", id, err)
-		}
-		s.nRequeued.Add(1)
+	e, ok := s.jobs[id]
+	if !ok || e.state.Status != StatusRunning {
+		return
 	}
+	s.setStatus(e, StatusQueued)
+	e.state.StartedUnix = 0
+	if err := s.store.PutState(e.state); err != nil {
+		s.logf("serve: persist requeue %s: %v", id, err)
+	}
+	s.nRequeued.Add(1)
 }
 
 func plural(n int, one, many string) string {

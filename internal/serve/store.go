@@ -62,7 +62,10 @@ func (st *Store) PutState(state State) error {
 	return artifact.WriteFile(st.statePath(state.ID), kindState, stateVersion, payload)
 }
 
-// GetSpec reads and verifies a job's spec envelope.
+// GetSpec reads and verifies a job's spec envelope. The envelope's hash is
+// keyless, so its payload is checked too: one that does not decode to a
+// spec that passes Validate — the server persists no other — is rejected
+// as artifact.ErrCorrupt.
 func (st *Store) GetSpec(id string) (JobSpec, error) {
 	payload, err := artifact.ReadFile(st.specPath(id), kindSpec, specVersion)
 	if err != nil {
@@ -70,12 +73,17 @@ func (st *Store) GetSpec(id string) (JobSpec, error) {
 	}
 	var spec JobSpec
 	if err := json.Unmarshal(payload, &spec); err != nil {
-		return JobSpec{}, fmt.Errorf("serve: decode spec %s: %w", id, err)
+		return JobSpec{}, fmt.Errorf("serve: decode spec %s (%v): %w", id, err, artifact.ErrCorrupt)
+	}
+	if err := spec.Validate(); err != nil {
+		return JobSpec{}, fmt.Errorf("serve: spec %s invalid (%v): %w", id, err, artifact.ErrCorrupt)
 	}
 	return spec, nil
 }
 
-// GetState reads and verifies a job's state envelope.
+// GetState reads and verifies a job's state envelope. A payload that does
+// not decode, names another job than its file, or carries a status outside
+// the four lifecycle states is rejected as artifact.ErrCorrupt.
 func (st *Store) GetState(id string) (State, error) {
 	payload, err := artifact.ReadFile(st.statePath(id), kindState, stateVersion)
 	if err != nil {
@@ -83,7 +91,15 @@ func (st *Store) GetState(id string) (State, error) {
 	}
 	var state State
 	if err := json.Unmarshal(payload, &state); err != nil {
-		return State{}, fmt.Errorf("serve: decode state %s: %w", id, err)
+		return State{}, fmt.Errorf("serve: decode state %s (%v): %w", id, err, artifact.ErrCorrupt)
+	}
+	if state.ID != id {
+		return State{}, fmt.Errorf("serve: state %s names job %q: %w", id, state.ID, artifact.ErrCorrupt)
+	}
+	switch state.Status {
+	case StatusQueued, StatusRunning, StatusDone, StatusFailed:
+	default:
+		return State{}, fmt.Errorf("serve: state %s has status %q: %w", id, state.Status, artifact.ErrCorrupt)
 	}
 	return state, nil
 }
@@ -117,10 +133,14 @@ type RecoveryReport struct {
 //   - queued and running jobs are returned Requeued — a crash mid-run simply
 //     recomputes, and determinism makes the recomputed result byte-identical;
 //   - a damaged state envelope (torn write, bit rot — artifact.ErrCorrupt and
-//     friends) is quarantined via artifact.Quarantine and the job rebuilt
-//     from its spec as queued;
-//   - a damaged spec envelope quarantines both files and reports the job
-//     Lost.
+//     friends), or a sealed state GetState rejects (it does not decode, or
+//     names another job or an unknown status), is quarantined via
+//     artifact.Quarantine and the job rebuilt from its spec as queued;
+//   - a damaged or rejected spec envelope quarantines both files and
+//     reports the job Lost.
+//
+// Every returned job therefore carries its file's ID and a lifecycle
+// status.
 //
 // I/O errors other than rejection (permissions, disk) abort the recovery.
 func (st *Store) Recover() (RecoveryReport, error) {

@@ -5,12 +5,13 @@
 # ILT session, candidate fan-out, predictor lanes reading one shared frozen
 # weight set and the pooled GEMM scratch), and short fuzz smokes on the GDS
 # and CSV readers, the artifact envelope, the serve job-spec decode and
-# content hash, the factory's lease, crash and attempts records and shard
-# names, and the predictor file inside its sealed envelope so hostile-input
-# regressions surface before a long fuzz campaign would find them. The repository benchmark module under bench/
-# imports the flow, ILT, litho, FFT, serve, model and sampling packages, so
-# it is vetted and tested here too: an API change that would break
-# bench/run.sh fails CI instead.
+# content hash, the serve job store's recovery of spec and state payloads
+# inside sealed envelopes, the factory's lease, crash and attempts records
+# and shard names, and the predictor file inside its sealed envelope so
+# hostile-input regressions surface before a long fuzz campaign would find
+# them. The repository benchmark module under bench/ imports the flow, ILT,
+# litho, FFT, serve, model and sampling packages, so it is vetted and tested
+# here too: an API change that would break bench/run.sh fails CI instead.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -45,10 +46,21 @@ go test -timeout 300s -shuffle=on ./...
 # TestFactoryResume, which also resumes an already-complete directory and
 # requires its manifest bytes unchanged.
 go test -timeout 600s -race ./internal/ilt ./internal/litho ./internal/fft ./internal/core ./internal/par ./internal/sampling ./internal/runx ./internal/faultinject ./internal/artifact ./internal/tensor ./internal/nn ./internal/model ./internal/serve ./internal/factory
+# The slot scheduler's tests depend on goroutine timing: its coalescing and
+# bitwise pipeline tests, the coalescer's, a free slot admitting a job past
+# a slow one, no two server predictions overlapping across a forced retry,
+# and the running count. One race run can pass on lucky timing, so they run
+# ten times.
+go test -timeout 600s -race -count=10 -run='Pipeline|RunStream|Coalesc|FreeSlot|Overlap|RunningCount' ./internal/core ./internal/par ./internal/serve
 go test -run='^$' -fuzz='^FuzzReadGDS$' -fuzztime=10s ./internal/gds
 go test -run='^$' -fuzz='^FuzzReadCSV$' -fuzztime=10s ./internal/layout
 go test -run='^$' -fuzz='^FuzzUnseal$' -fuzztime=10s ./internal/artifact
 go test -run='^$' -fuzz='^FuzzJobSpec$' -fuzztime=10s ./internal/serve
+# Each FuzzStoreRecover input writes, fsyncs and recovers a job store (about
+# 2 ms), so the default minimizer spent the whole smoke on its first
+# interesting inputs (10 to 15 executions); capped at 20 runs per input the
+# smoke makes ~2,500.
+go test -run='^$' -fuzz='^FuzzStoreRecover$' -fuzztime=10s -fuzzminimizetime=20x ./internal/serve
 go test -run='^$' -fuzz='^FuzzShardRecords$' -fuzztime=10s ./internal/factory
 # The predictor seeds are 37 KB and 531 KB Write payloads. Left at its
 # default, the minimizer spends the smoke deleting their bytes one at a
