@@ -54,22 +54,6 @@ const (
 	// TrainNaN poisons the training loss with NaN at batch arg, with the
 	// same one-shot (arg >= 0) / sticky (arg < 0) convention as ILTNaN.
 	TrainNaN = "train-nan"
-	// WorkerSigkill makes a factory worker kill itself (SIGKILL in process
-	// mode, simulated hard death in-process) right after its arg-th
-	// successful lease claim (default 0), with the usual one-shot
-	// (arg >= 0) / sticky (arg < 0) FireAt convention — the chaos drill's
-	// trigger for supervisor reclaim + restart.
-	WorkerSigkill = "worker-sigkill"
-	// LeaseStale makes the factory worker holding shard arg stop
-	// heartbeating and hang without dying, so its lease mtime goes stale
-	// while the process stays alive — exercising the hung-worker reclaim
-	// (and kill) path rather than the dead-worker one.
-	LeaseStale = "lease-stale"
-	// LabelPanicSticky panics the shard labeler for the layout at index
-	// arg on every attempt — a poison layout that kills its worker each
-	// time it is claimed, driving the K-deaths-then-quarantine drill. It
-	// never disarms; the poison record is what ends the crash loop.
-	LabelPanicSticky = "label-panic-sticky"
 )
 
 var (

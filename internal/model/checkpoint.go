@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 
 	"ldmo/internal/artifact"
@@ -97,7 +98,10 @@ func loadTrainCheckpoint(path string, net *nn.Network, seed int64, samples int, 
 }
 
 // loadSealedCheckpoint unseals and decodes one checkpoint file. ok is false
-// when the file does not exist.
+// when the file does not exist. The sealed checksum has no key, so a crafted
+// file passes it: the header and every weight vector are checked against
+// net before any weight is copied, and a file that does not fit is rejected
+// as corrupt with net unchanged.
 func loadSealedCheckpoint(path string, net *nn.Network, seed int64, samples int) (trainCheckpoint, bool, error) {
 	payload, err := artifact.ReadFile(path, trainCheckpointKind, trainCheckpointVersion)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -118,10 +122,45 @@ func loadSealedCheckpoint(path string, net *nn.Network, seed int64, samples int)
 			"model: checkpoint %s was written for seed %d over %d samples, run has seed %d over %d — stale checkpoint?",
 			path, cp.Seed, cp.Samples, seed, samples)
 	}
+	if err := cp.fits(net.Params()); err != nil {
+		return trainCheckpoint{}, false, fmt.Errorf("model: checkpoint %s %v: %w", path, err, artifact.ErrCorrupt)
+	}
 	if err := net.DecodeParams(dec); err != nil {
 		return trainCheckpoint{}, false, fmt.Errorf("model: checkpoint %s weights undecodable (%v): %w", path, err, artifact.ErrCorrupt)
 	}
 	return cp, true, nil
+}
+
+// fits reports why cp cannot resume training over params, or nil when it
+// can: one loss and at least one Adam step per completed epoch, a positive
+// finite learning rate, and Adam moments that Adam.SetState and Adam.Step
+// accept for params, nil for a NoGrad parameter and as long as its Data
+// otherwise.
+func (cp trainCheckpoint) fits(params []*nn.Param) error {
+	if cp.Epoch < 0 || len(cp.History) != cp.Epoch {
+		return fmt.Errorf("records epoch %d with %d losses", cp.Epoch, len(cp.History))
+	}
+	if cp.Adam.T < cp.Epoch {
+		return fmt.Errorf("records %d Adam steps over %d epochs", cp.Adam.T, cp.Epoch)
+	}
+	if !(cp.Adam.LR > 0) || math.IsInf(cp.Adam.LR, 1) {
+		return fmt.Errorf("records learning rate %g", cp.Adam.LR)
+	}
+	m, v := cp.Adam.M, cp.Adam.V
+	if len(m) != len(params) || len(v) != len(params) {
+		return fmt.Errorf("holds Adam moments for %d and %d parameters, network has %d", len(m), len(v), len(params))
+	}
+	for i, p := range params {
+		if p.NoGrad {
+			if m[i] != nil || v[i] != nil {
+				return fmt.Errorf("holds Adam moments for parameter %d (%s), which takes no gradient", i, p.Name)
+			}
+		} else if len(m[i]) != len(p.Data) || len(v[i]) != len(p.Data) {
+			return fmt.Errorf("holds Adam moments of %d and %d values for parameter %d (%s) of %d",
+				len(m[i]), len(v[i]), i, p.Name, len(p.Data))
+		}
+	}
+	return nil
 }
 
 // CheckpointStatus classifies what a resume would find at path, for CLIs

@@ -3,6 +3,7 @@ package model
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"ldmo/internal/artifact"
 	"ldmo/internal/faultinject"
+	"ldmo/internal/nn"
 )
 
 // TestTrainCheckpointFileBytesIdentical: identical training state must seal
@@ -188,6 +190,205 @@ func TestTrainCheckpointBothCorruptStartsFresh(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("fresh restart diverged from the clean run")
 	}
+}
+
+// wireParams decodes the weight vectors that follow a checkpoint's header:
+// gob matches the fields of nn's wire struct by name.
+type wireParams struct {
+	Names []string
+	Data  [][]float64
+}
+
+// resealCheckpoint decodes the sealed checkpoint at path, lets edit change
+// its header and weight vectors, and seals the result in place: a crafted
+// file that passes the envelope's keyless checksum.
+func resealCheckpoint(t *testing.T, path string, edit func(cp *trainCheckpoint, w *wireParams)) {
+	t.Helper()
+	payload, err := artifact.ReadFile(path, trainCheckpointKind, trainCheckpointVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := gob.NewDecoder(bytes.NewReader(payload))
+	var cp trainCheckpoint
+	var w wireParams
+	if err := dec.Decode(&cp); err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.Decode(&w); err != nil {
+		t.Fatal(err)
+	}
+	edit(&cp, &w)
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	if err := enc.Encode(cp); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Encode(w); err != nil {
+		t.Fatal(err)
+	}
+	if err := artifact.WriteFile(path, trainCheckpointKind, trainCheckpointVersion, buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTrainCheckpointMisfitQuarantined replays crafted checkpoints that
+// pass the envelope check but do not fit the network. Each must be
+// quarantined like a bit flip, with the network untouched: the Adam cases
+// are crafted into the latest checkpoint only, so the previous one takes
+// over, and the weight and history cases into both, so training starts
+// fresh. Either way the run must finish bit-identical to an uninterrupted
+// one. Unchecked, the three Adam moment cases panicked the resumed
+// TrainCtx, a negative learning rate or a zeroed step count trained on to
+// other weights, the short weight vector left parameters 0-62 copied into a
+// "fresh" start, and the short history resumed with a loss missing.
+func TestTrainCheckpointMisfitQuarantined(t *testing.T) {
+	cases := []struct {
+		name  string
+		fresh bool // crafted into .prev too
+		edit  func(cp *trainCheckpoint, w *wireParams)
+	}{
+		{"adam-v-shorter-than-m", false, func(cp *trainCheckpoint, _ *wireParams) {
+			cp.Adam.V = cp.Adam.V[:len(cp.Adam.V)-1]
+		}},
+		{"adam-moment-cut-to-one-value", false, func(cp *trainCheckpoint, _ *wireParams) {
+			cp.Adam.M[0] = cp.Adam.M[0][:1] // the stem conv's weights
+		}},
+		{"adam-m-and-v-one-entry", false, func(cp *trainCheckpoint, _ *wireParams) {
+			cp.Adam.M, cp.Adam.V = cp.Adam.M[:1], cp.Adam.V[:1]
+		}},
+		{"adam-lr-negative", false, func(cp *trainCheckpoint, _ *wireParams) {
+			cp.Adam.LR = -cp.Adam.LR
+		}},
+		{"adam-no-steps", false, func(cp *trainCheckpoint, _ *wireParams) {
+			cp.Adam.T = 0
+		}},
+		{"last-weights-one-short", true, func(_ *trainCheckpoint, w *wireParams) {
+			last := len(w.Data) - 1
+			w.Data[last] = w.Data[last][:len(w.Data[last])-1]
+		}},
+		{"history-short", true, func(cp *trainCheckpoint, _ *wireParams) {
+			cp.History = cp.History[:len(cp.History)-1]
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := syntheticDataset(24, 3)
+			ckpt, want := seedCheckpointPair(t, ds, t.TempDir())
+			crafted := []string{ckpt}
+			if tc.fresh {
+				crafted = append(crafted, ckpt+prevSuffix)
+			}
+			for _, p := range crafted {
+				resealCheckpoint(t, p, tc.edit)
+			}
+
+			got, log := resumeFull(t, ds, ckpt)
+			for _, p := range crafted {
+				if !strings.Contains(log, "discarding checkpoint "+p+" (") {
+					t.Fatalf("%s not discarded:\n%s", p, log)
+				}
+				if _, err := os.Stat(p + artifact.QuarantineSuffix); err != nil {
+					t.Fatalf("%s not quarantined: %v", p, err)
+				}
+			}
+			if resumed := strings.Contains(log, "resuming from "+ckpt+" at epoch 2/"); resumed == tc.fresh {
+				t.Fatalf("resumed from the previous checkpoint: %v, want %v:\n%s", resumed, !tc.fresh, log)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("recovered run diverged from the uninterrupted run")
+			}
+		})
+	}
+}
+
+// FuzzTrainCheckpoint feeds a resume arbitrary checkpoint payloads inside
+// valid envelopes, seeded with the payloads of the checkpoints a real
+// training run seals. The envelope's SHA-256 is keyless, so these bytes are
+// the trust boundary of `ldmo-train -resume`. loadSealedCheckpoint must
+// never panic; it must reject what it cannot use with a typed error (or the
+// stale-run error) and leave the network untouched; what it accepts must
+// drive an Adam step and re-seal to bytes that load back and re-seal
+// identically.
+func FuzzTrainCheckpoint(f *testing.F) {
+	const seed, samples = 7, 16
+	ckpt := filepath.Join(f.TempDir(), "train.ckpt")
+	p, err := New(testConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	tc := trainCfg(ckpt)
+	tc.Epochs = 2
+	if _, err := p.TrainCtx(context.Background(), syntheticDataset(samples, 5), tc); err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range []string{ckpt + prevSuffix, ckpt} {
+		payload, err := artifact.ReadFile(path, trainCheckpointKind, trainCheckpointVersion)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "train.ckpt")
+		var env bytes.Buffer
+		if err := artifact.Seal(&env, trainCheckpointKind, trainCheckpointVersion, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, env.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		p, err := New(testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := weightsOf(t, p)
+		cp, ok, err := loadSealedCheckpoint(path, p.Net, seed, samples)
+		if err != nil {
+			if !artifact.Rejected(err) && !strings.Contains(err.Error(), "stale checkpoint") {
+				t.Fatalf("rejection without a typed error: %v", err)
+			}
+			if !bytes.Equal(weightsOf(t, p), before) {
+				t.Fatalf("rejected checkpoint (%v) changed the network", err)
+			}
+			return
+		}
+		if !ok {
+			t.Fatal("a present checkpoint loaded as absent")
+		}
+		resealed := filepath.Join(dir, "resealed.ckpt")
+		if err := saveTrainCheckpoint(resealed, p.Net, cp); err != nil {
+			t.Fatal(err)
+		}
+		q, err := New(testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cq, ok, err := loadSealedCheckpoint(resealed, q.Net, seed, samples)
+		if err != nil || !ok {
+			t.Fatalf("an accepted checkpoint does not load back: ok=%v err=%v", ok, err)
+		}
+		again := filepath.Join(dir, "again.ckpt")
+		if err := saveTrainCheckpoint(again, q.Net, cq); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(resealed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatal("an accepted checkpoint does not re-seal identically")
+		}
+		adam := nn.NewAdam(tc.LR)
+		adam.SetState(cp.Adam)
+		params := p.Net.Params()
+		nn.ZeroGrads(params)
+		adam.Step(params)
+	})
 }
 
 // TestTrainCheckpointVersionSkewQuarantined: a checkpoint sealed under a

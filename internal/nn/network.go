@@ -101,18 +101,21 @@ func ReadParams(dec *gob.Decoder) (names []string, data [][]float64, err error) 
 
 // SetParams copies parameter vectors, as ReadParams returns them, into n,
 // whose architecture must declare the identical names and lengths in the
-// same order.
+// same order. It checks every vector before it copies any, so a rejected
+// set leaves n unchanged.
 func (n *Network) SetParams(names []string, data [][]float64) error {
 	params := n.Params()
-	if len(data) != len(params) {
-		return fmt.Errorf("nn: parameter count mismatch: file has %d, network has %d",
-			len(data), len(params))
+	if len(names) != len(params) || len(data) != len(params) {
+		return fmt.Errorf("nn: parameter count mismatch: file has %d names and %d vectors, network has %d",
+			len(names), len(data), len(params))
 	}
 	for i, p := range params {
 		if names[i] != p.Name || len(data[i]) != len(p.Data) {
 			return fmt.Errorf("nn: parameter %d mismatch: file %s[%d], network %s[%d]",
 				i, names[i], len(data[i]), p.Name, len(p.Data))
 		}
+	}
+	for i, p := range params {
 		copy(p.Data, data[i])
 	}
 	return nil

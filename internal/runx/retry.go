@@ -4,27 +4,21 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 )
 
+// Backoff schedule of Retry: the first retry waits retryBase, and each
+// later one doubles the wait up to retryMax.
+const (
+	retryBase = 50 * time.Millisecond
+	retryMax  = 2 * time.Second
+)
+
 // RetryConfig parameterizes Retry. The zero value selects the defaults: 3
-// attempts, 50ms base backoff doubling to a 2s cap, 50% jitter, every error
-// retryable except cancellation/deadline.
+// attempts, every error retryable except cancellation/deadline.
 type RetryConfig struct {
 	// Attempts is the total attempt budget, including the first; <=0 selects 3.
 	Attempts int
-	// Base is the backoff before the second attempt; it doubles per retry up
-	// to Max. <=0 selects 50ms (Base) / 2s (Max).
-	Base time.Duration
-	Max  time.Duration
-	// Jitter is the fraction of each backoff that is randomized: the actual
-	// sleep is d*(1-Jitter) + U[0,1)*d*Jitter. Clamped to [0,1]; a negative
-	// value selects the 0.5 default, 0 disables jitter entirely.
-	Jitter float64
-	// Seed drives the jitter RNG, so a given (seed, error sequence) produces
-	// an exactly reproducible backoff schedule. 0 selects 1.
-	Seed int64
 	// Retryable classifies errors; nil means every error is retryable. A
 	// cancellation/deadline error (Interrupted) is never retried regardless —
 	// the budget owns that decision, not the classifier.
@@ -74,11 +68,11 @@ func AsRetry(err error) (*RetryError, bool) {
 	return nil, false
 }
 
-// Retry runs fn under jittered exponential backoff until it succeeds, the
-// attempt budget is spent, the error is classified permanent, or the context
-// dies. fn receives the 1-based attempt number. A failure is reported as a
-// *RetryError wrapping the last attempt's error; nil means an attempt
-// succeeded.
+// Retry runs fn under exponential backoff (50ms doubling to a 2s cap) until
+// it succeeds, the attempt budget is spent, the error is classified
+// permanent, or the context dies. fn receives the 1-based attempt number. A
+// failure is reported as a *RetryError wrapping the last attempt's error;
+// nil means an attempt succeeded.
 //
 // Retry is budget-aware in both directions: it polls ctx before every
 // attempt, and it refuses to start a backoff sleep that cannot complete
@@ -92,30 +86,10 @@ func Retry(ctx context.Context, cfg RetryConfig, fn func(attempt int) error) err
 	if attempts <= 0 {
 		attempts = 3
 	}
-	base := cfg.Base
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	maxd := cfg.Max
-	if maxd <= 0 {
-		maxd = 2 * time.Second
-	}
-	jitter := cfg.Jitter
-	if jitter < 0 {
-		jitter = 0.5
-	}
-	if jitter > 1 {
-		jitter = 1
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	sleep := cfg.Sleep
 	if sleep == nil {
 		sleep = realSleep
 	}
-	rng := rand.New(rand.NewSource(seed))
 
 	var last error
 	for attempt := 1; ; attempt++ {
@@ -140,10 +114,7 @@ func Retry(ctx context.Context, cfg RetryConfig, fn func(attempt int) error) err
 		if attempt >= attempts {
 			return &RetryError{Attempts: attempt, Last: last}
 		}
-		d := backoff(base, maxd, attempt-1)
-		if jitter > 0 {
-			d = time.Duration(float64(d)*(1-jitter) + rng.Float64()*float64(d)*jitter)
-		}
+		d := backoff(attempt - 1)
 		if dl, ok := ctx.Deadline(); ok && time.Until(dl) < d {
 			return &RetryError{Attempts: attempt, Last: last}
 		}
@@ -155,17 +126,15 @@ func Retry(ctx context.Context, cfg RetryConfig, fn func(attempt int) error) err
 	}
 }
 
-// backoff returns base*2^n capped at max, saturating instead of overflowing.
-func backoff(base, max time.Duration, n int) time.Duration {
-	d := base
+// backoff returns the wait before retry n+1: retryBase*2^n, capped at
+// retryMax.
+func backoff(n int) time.Duration {
+	d := retryBase
 	for i := 0; i < n; i++ {
-		if d >= max/2 {
-			return max
+		if d >= retryMax/2 {
+			return retryMax
 		}
 		d *= 2
-	}
-	if d > max {
-		return max
 	}
 	return d
 }

@@ -124,24 +124,16 @@ func TestRetryDeadContextBeforeFirstAttempt(t *testing.T) {
 }
 
 func TestRetryRefusesSleepPastDeadline(t *testing.T) {
-	// The remaining budget (10ms) cannot cover the first backoff (>=25s), so
+	// The remaining budget (10ms) cannot cover the first backoff (50ms), so
 	// the retry gives up immediately instead of sleeping into the deadline.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	fs := &fakeSleep{}
 	calls := 0
-	start := time.Now()
-	err := Retry(ctx, RetryConfig{
-		Attempts: 5,
-		Base:     50 * time.Second,
-		Sleep:    fs.sleep,
-	}, func(int) error {
+	err := Retry(ctx, RetryConfig{Attempts: 5, Sleep: fs.sleep}, func(int) error {
 		calls++
 		return errors.New("transient")
 	})
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("retry slept toward a dead deadline (%v)", elapsed)
-	}
 	re, ok := AsRetry(err)
 	if !ok || calls != 1 || re.Attempts != 1 {
 		t.Fatalf("deadline-doomed backoff not short-circuited: err=%v calls=%d", err, calls)
@@ -151,56 +143,29 @@ func TestRetryRefusesSleepPastDeadline(t *testing.T) {
 	}
 }
 
-func TestRetryBackoffScheduleDeterministic(t *testing.T) {
-	schedule := func() []time.Duration {
-		fs := &fakeSleep{}
-		Retry(context.Background(), RetryConfig{
-			Attempts: 5,
-			Base:     100 * time.Millisecond,
-			Max:      time.Second,
-			Seed:     7,
-			Sleep:    fs.sleep,
-		}, func(int) error { return errors.New("x") })
-		return fs.ds
+// checkBackoffs checks the waits, in ms, that Retry asks the fake Sleep for
+// over attempts failing attempts.
+func checkBackoffs(t *testing.T, attempts int, ms ...time.Duration) {
+	t.Helper()
+	fs := &fakeSleep{}
+	Retry(context.Background(), RetryConfig{Attempts: attempts, Sleep: fs.sleep},
+		func(int) error { return errors.New("x") })
+	if len(fs.ds) != len(ms) {
+		t.Fatalf("%d attempts backed off %v, want %d waits", attempts, fs.ds, len(ms))
 	}
-	a, b := schedule(), schedule()
-	if len(a) != 4 {
-		t.Fatalf("5 attempts must back off 4 times, got %v", a)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("jitter schedule not reproducible: %v vs %v", a, b)
-		}
-	}
-	// Exponential shape with 50% jitter: each backoff lies in [d/2, d] for
-	// d = min(base*2^i, max).
-	want := []time.Duration{100, 200, 400, 800}
-	for i, d := range a {
-		lo, hi := want[i]*time.Millisecond/2, want[i]*time.Millisecond
-		if d < lo || d > hi {
-			t.Fatalf("backoff %d = %v outside [%v, %v]", i, d, lo, hi)
+	for i, d := range fs.ds {
+		if d != ms[i]*time.Millisecond {
+			t.Fatalf("backoff %d = %v, want %v (schedule %v)", i, d, ms[i]*time.Millisecond, fs.ds)
 		}
 	}
 }
 
+func TestRetryBackoffScheduleDeterministic(t *testing.T) {
+	checkBackoffs(t, 5, 50, 100, 200, 400)
+}
+
 func TestRetryBackoffSaturates(t *testing.T) {
-	fs := &fakeSleep{}
-	Retry(context.Background(), RetryConfig{
-		Attempts: 12,
-		Base:     time.Millisecond,
-		Max:      8 * time.Millisecond,
-		Jitter:   0, // exact doubling, no randomization
-		Sleep:    fs.sleep,
-	}, func(int) error { return errors.New("x") })
-	want := []time.Duration{1, 2, 4, 8, 8, 8, 8, 8, 8, 8, 8}
-	if len(fs.ds) != len(want) {
-		t.Fatalf("got %d backoffs, want %d", len(fs.ds), len(want))
-	}
-	for i, d := range fs.ds {
-		if d != want[i]*time.Millisecond {
-			t.Fatalf("backoff %d = %v, want %v (schedule %v)", i, d, want[i]*time.Millisecond, fs.ds)
-		}
-	}
+	checkBackoffs(t, 12, 50, 100, 200, 400, 800, 1600, 2000, 2000, 2000, 2000, 2000)
 }
 
 func TestRetryCancelledDuringSleep(t *testing.T) {
@@ -228,27 +193,32 @@ func TestRetryCancelledDuringSleep(t *testing.T) {
 	}
 }
 
-// TestRetryCancelledMidBackoffPrompt pins the real-sleep path: a cancel that
-// lands mid-backoff must return well before the jittered delay elapses and
-// carry the Interrupted classification, not just the attempt's own error.
+// TestRetryCancelledMidBackoffPrompt pins the real-sleep path: realSleep
+// returns the context's error as soon as a cancel lands, well before its
+// delay elapses, and a Retry whose attempt cancels the context gives up
+// from the default sleep classified Interrupted, the attempt's own error
+// still in the chain.
 func TestRetryCancelledMidBackoffPrompt(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 	}()
-	attemptErr := errors.New("transient")
 	start := time.Now()
-	err := Retry(ctx, RetryConfig{
-		Attempts: 3,
-		Base:     2 * time.Second, // first backoff far exceeds the cancel point
-		Max:      2 * time.Second,
-		Jitter:   0,
-	}, func(int) error { return attemptErr })
-	elapsed := time.Since(start)
-	if elapsed > time.Second {
-		t.Fatalf("cancelled retry slept %v, want prompt return", elapsed)
+	err := realSleep(ctx, 10*time.Second)
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("cancelled sleep took %v, want prompt return", elapsed)
 	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled sleep returned %v, want Canceled", err)
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	attemptErr := errors.New("transient")
+	err = Retry(ctx, RetryConfig{Attempts: 3}, func(int) error {
+		cancel()
+		return attemptErr
+	})
 	if !Interrupted(err) {
 		t.Fatalf("cancelled backoff not classified Interrupted: %v", err)
 	}

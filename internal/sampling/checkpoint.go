@@ -41,7 +41,9 @@ type shard struct {
 	Scores []float64
 }
 
-// shardPath returns the shard file for layout index i.
+// shardPath returns the shard file for layout index i. Resume reads only
+// these names: anything else in the directory (quarantined corpses, other
+// tools' files, editor droppings) is ignored.
 func shardPath(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard_%05d.gob", i))
 }
@@ -62,9 +64,11 @@ func writeShard(dir string, s shard) error {
 
 // readShard loads the shard of layout index i when present. ok is false when
 // the shard does not exist. A rejected envelope (bit flip, truncation,
-// version skew, wrong kind) comes back wrapping the artifact sentinel — the
-// caller quarantines and relabels. A shard recorded for a different layout
-// name is a hard error (the checkpoint directory belongs to another run).
+// version skew, wrong kind) comes back wrapping the artifact sentinel, and so
+// does a sealed payload that is not a consistent shard (the envelope's
+// checksum has no key) — the caller quarantines and relabels. A shard
+// recorded for a different layout name is a hard error (the checkpoint
+// directory belongs to another run).
 func readShard(dir string, i int, layoutName string) (shard, bool, error) {
 	path := shardPath(dir, i)
 	payload, err := artifact.ReadFile(path, shardKind, shardVersion)
@@ -87,38 +91,25 @@ func readShard(dir string, i int, layoutName string) (shard, bool, error) {
 		return shard{}, false, fmt.Errorf("sampling: shard %s inconsistent (%d images, %d scores): %w",
 			path, len(s.Imgs), len(s.Scores), artifact.ErrCorrupt)
 	}
+	// Training flips, rotates and resamples every image, and grid.New
+	// panics on a non-positive side or resolution. len(Data) is compared
+	// by division so that W*H cannot overflow into a match.
+	for k, g := range s.Imgs {
+		if g == nil || g.W <= 0 || g.H <= 0 || g.Res <= 0 || len(g.Data)%g.W != 0 || len(g.Data)/g.W != g.H {
+			return shard{}, false, fmt.Errorf("sampling: shard %s image %d is not a grid: %w", path, k, artifact.ErrCorrupt)
+		}
+	}
 	return s, true, nil
 }
 
-// ShardFile returns the sealed shard file for layout index i — the name the
-// dataset factory leases, seals, and digests. Only shard_NNNNN.gob files are
-// ever read back by resume: anything else in the directory (leases, poison
-// records, quarantined corpses, editor droppings) is ignored.
-func ShardFile(dir string, i int) string {
-	return shardPath(dir, i)
-}
-
-// BuildShard labels layout l (index li) and seals it as shard li in dir,
-// unless a valid sealed shard is already present — the idempotent unit of
-// work a factory worker performs under its lease. A rejected existing
-// envelope is quarantined aside and the layout relabeled. computed reports
-// whether labeling actually ran (false: the existing shard was reused), and
-// quarantined names the corpse when one was set aside. Labeling is
-// deterministic per layout, so two workers racing on the same index write
-// byte-identical shards and the atomic seal makes the race benign.
-func BuildShard(dir string, li int, l layout.Layout, cfg Config) (computed bool, quarantined string, err error) {
-	_, computed, _, quarantined, err = loadOrLabel(dir, li, l, cfg)
-	return computed, quarantined, err
-}
-
-// loadOrLabel is the one load-or-label step of BuildShard and a
-// checkpointed BuildDatasetCtx: it returns the sealed shard li from dir when
-// a valid one is there, and otherwise labels layout l and seals the result.
-// A shard that failed envelope verification (bit flip, torn write, version
-// skew, wrong kind) is quarantined first; rejected then says why and
-// quarantined names the corpse. Labeling is deterministic per layout, so
-// recomputing just that layout keeps the build bit-identical. computed
-// reports whether labeling ran.
+// loadOrLabel is the load-or-label step of a checkpointed BuildDatasetCtx:
+// it returns the sealed shard li from dir when a valid one is there, and
+// otherwise labels layout l and seals the result. A shard that failed
+// envelope verification (bit flip, torn write, version skew, wrong kind) or
+// does not decode to a consistent shard is quarantined first; rejected then
+// says why and quarantined names the corpse. Labeling is deterministic per
+// layout, so recomputing just that layout keeps the build bit-identical.
+// computed reports whether labeling ran.
 func loadOrLabel(dir string, li int, l layout.Layout, cfg Config) (s shard, computed bool, rejected error, quarantined string, err error) {
 	s, ok, err := readShard(dir, li, l.Name)
 	switch {
@@ -139,21 +130,6 @@ func loadOrLabel(dir string, li int, l layout.Layout, cfg Config) (s shard, comp
 		return shard{}, false, rejected, quarantined, err
 	}
 	return s, true, rejected, quarantined, nil
-}
-
-// VerifyShard checks that the sealed shard for layout index li exists, passes
-// envelope verification, decodes, and belongs to layoutName — the manifest
-// builder's pre-digest gate. A missing shard is an error here, unlike during
-// resume.
-func VerifyShard(dir string, li int, layoutName string) error {
-	_, ok, err := readShard(dir, li, layoutName)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("sampling: shard %d (%s) missing from %s", li, layoutName, dir)
-	}
-	return nil
 }
 
 // CheckpointShards reports how many of the n layout shards exist in dir —

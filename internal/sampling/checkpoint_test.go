@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -44,6 +45,26 @@ func TestBuildDatasetCheckpointResumeBitIdentical(t *testing.T) {
 	if got == 0 || got >= len(p) {
 		t.Fatalf("interrupted build persisted %d/%d shards, want a strict partial set", got, len(p))
 	}
+	// The resume must reuse each valid sealed shard as it is: a relabeled
+	// shard would be sealed into a new file by rename.
+	type sealed struct {
+		fi    os.FileInfo
+		bytes []byte
+	}
+	read := func(i int) (sealed, error) {
+		fi, err := os.Stat(shardPath(dir, i))
+		if err != nil {
+			return sealed{}, err
+		}
+		b, err := os.ReadFile(shardPath(dir, i))
+		return sealed{fi, b}, err
+	}
+	before := map[int]sealed{}
+	for i := range p {
+		if s, err := read(i); err == nil {
+			before[i] = s
+		}
+	}
 
 	var resLog strings.Builder
 	ds, groups, err := BuildDatasetCtx(context.Background(), p, cfg, &resLog)
@@ -52,6 +73,15 @@ func TestBuildDatasetCheckpointResumeBitIdentical(t *testing.T) {
 	}
 	if CheckpointShards(dir, len(p)) != len(p) {
 		t.Fatal("resumed build did not complete the shard set")
+	}
+	for i, s := range before {
+		now, err := read(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !os.SameFile(s.fi, now.fi) || !bytes.Equal(s.bytes, now.bytes) {
+			t.Fatalf("resume rewrote the valid sealed shard %d", i)
+		}
 	}
 	if !reflect.DeepEqual(ds, want) {
 		t.Fatal("resumed dataset differs from the uninterrupted build")
@@ -64,11 +94,11 @@ func TestBuildDatasetCheckpointResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBuildDatasetCheckpointForeignFilesIgnored pins the resume scan's
-// contract with the dataset factory: a checkpoint directory littered with
-// foreign files — editor droppings, factory leases and poison records, stray
-// quarantine corpses — must resume cleanly and bit-identically, reading only
-// shard_NNNNN.gob files and leaving the litter untouched.
+// TestBuildDatasetCheckpointForeignFilesIgnored: a checkpoint directory
+// littered with foreign files — editor droppings, lock and spec files of
+// other tools, stray quarantine corpses — must resume cleanly and
+// bit-identically, reading only shard_NNNNN.gob files and leaving the
+// litter untouched.
 func TestBuildDatasetCheckpointForeignFilesIgnored(t *testing.T) {
 	p := pool(t, 3)
 	cfg := testConfig()
@@ -119,41 +149,6 @@ func TestBuildDatasetCheckpointForeignFilesIgnored(t *testing.T) {
 		if err != nil || string(got) != body {
 			t.Fatalf("foreign file %s disturbed: %q err=%v", name, got, err)
 		}
-	}
-}
-
-// TestBuildShardIdempotent: the factory's unit of work computes once, reuses
-// the sealed shard on re-claim, and two builds leave byte-identical files.
-func TestBuildShardIdempotent(t *testing.T) {
-	p := pool(t, 2)
-	cfg := testConfig()
-	dir := t.TempDir()
-
-	computed, q, err := BuildShard(dir, 1, p[1], cfg)
-	if err != nil || !computed || q != "" {
-		t.Fatalf("first BuildShard: computed=%v q=%q err=%v", computed, q, err)
-	}
-	first, err := os.ReadFile(ShardFile(dir, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyShard(dir, 1, p[1].Name); err != nil {
-		t.Fatalf("VerifyShard after build: %v", err)
-	}
-	if err := VerifyShard(dir, 0, p[0].Name); err == nil {
-		t.Fatal("VerifyShard must report a missing shard")
-	}
-
-	computed, q, err = BuildShard(dir, 1, p[1], cfg)
-	if err != nil || computed || q != "" {
-		t.Fatalf("re-claimed BuildShard: computed=%v q=%q err=%v", computed, q, err)
-	}
-	second, err := os.ReadFile(ShardFile(dir, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(first) != string(second) {
-		t.Fatal("re-claimed shard bytes differ")
 	}
 }
 

@@ -1,7 +1,9 @@
 package sampling
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"os"
 	"reflect"
@@ -12,11 +14,15 @@ import (
 	"ldmo/internal/faultinject"
 	"ldmo/internal/geom"
 	"ldmo/internal/grid"
+	"ldmo/internal/model"
 )
 
 // TestReadShardRejectsCorruptionClasses: every corruption class on a dataset
 // shard must come back wrapping the matching artifact sentinel, so BuildDataset
-// can tell recoverable rot (quarantine and relabel) from everything else.
+// can tell recoverable rot (quarantine and relabel) from everything else. The
+// image cases are sealed intact, as a crafted file passes the keyless
+// checksum: an image that is not a grid once loaded and then panicked in
+// Dataset.Augmented.
 func TestReadShardRejectsCorruptionClasses(t *testing.T) {
 	valid := shard{
 		Layout: "l0",
@@ -25,6 +31,15 @@ func TestReadShardRejectsCorruptionClasses(t *testing.T) {
 		Scores: []float64{1.5},
 	}
 
+	sealImage := func(img *grid.Grid) func(t *testing.T, dir string) {
+		return func(t *testing.T, dir string) {
+			s := valid
+			s.Imgs = []*grid.Grid{img}
+			if err := writeShard(dir, s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	cases := []struct {
 		name    string
 		corrupt func(t *testing.T, dir string)
@@ -61,6 +76,9 @@ func TestReadShardRejectsCorruptionClasses(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, artifact.ErrWrongKind},
+		{"image-short-data", sealImage(&grid.Grid{W: 64, H: 64, Res: 4, Data: []float64{1, 2, 3}}), artifact.ErrCorrupt},
+		{"image-zero-side", sealImage(&grid.Grid{W: 0, H: 0, Res: 4}), artifact.ErrCorrupt},
+		{"image-zero-res", sealImage(&grid.Grid{W: 1, H: 1, Data: []float64{1}}), artifact.ErrCorrupt},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -78,6 +96,80 @@ func TestReadShardRejectsCorruptionClasses(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sealShard writes payload as shard index of dir inside a valid envelope.
+func sealShard(t *testing.T, dir string, index int, payload []byte) {
+	t.Helper()
+	var env bytes.Buffer
+	if err := artifact.Seal(&env, shardKind, shardVersion, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(shardPath(dir, index), env.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzReadShard feeds readShard arbitrary shard payloads inside valid
+// envelopes, seeded with the payloads of real sealed shards. The envelope's
+// checksum has no key, so these bytes are the trust boundary of a resumed
+// BuildDatasetCtx. readShard must never panic; it must reject what it
+// cannot use with a typed error (or the stale-directory error for a shard
+// of another layout); what it accepts must survive training's augmentation
+// and re-seal to a shard that reads back to the same bytes.
+func FuzzReadShard(f *testing.F) {
+	cfg := testConfig()
+	cfg.ImageSize = 16 // real shards, small enough to mutate quickly
+	dir := f.TempDir()
+	for li, l := range pool(f, 2) {
+		s, err := computeShard(l, li, cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := writeShard(dir, s); err != nil {
+			f.Fatal(err)
+		}
+		payload, err := artifact.ReadFile(shardPath(dir, li), shardKind, shardVersion)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload, li, l.Name)
+	}
+	encode := func(t *testing.T, s shard) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(s); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	f.Fuzz(func(t *testing.T, payload []byte, index int, name string) {
+		dir := t.TempDir()
+		sealShard(t, dir, index, payload)
+		s, ok, err := readShard(dir, index, name)
+		if err != nil {
+			if !artifact.Rejected(err) && !strings.Contains(err.Error(), "stale checkpoint") {
+				t.Fatalf("rejection without a typed error: %v", err)
+			}
+			return
+		}
+		if !ok {
+			t.Fatal("a present shard read as missing")
+		}
+		ds := &model.Dataset{}
+		for k, img := range s.Imgs {
+			ds.Add(img, s.Scores[k])
+		}
+		ds.Augmented()
+		enc := encode(t, s)
+		sealShard(t, dir, index, enc)
+		again, ok, err := readShard(dir, index, name)
+		if err != nil || !ok {
+			t.Fatalf("an accepted shard does not read back: ok=%v err=%v", ok, err)
+		}
+		if !bytes.Equal(encode(t, again), enc) {
+			t.Fatal("an accepted shard does not re-encode identically")
+		}
+	})
 }
 
 // TestBuildDatasetQuarantinesBitFlippedShard is the acceptance test for shard

@@ -179,9 +179,9 @@ func Label(opt *ilt.Optimizer, d decomp.Decomposition, w model.ScoreWeights) flo
 
 // computeShard runs the deterministic per-layout labeling pipeline — sampled
 // decompositions, one fresh optimizer, Eq. 9 labels plus CNN input images —
-// and returns the result as a shard. This is the single compute path shared
-// by BuildDatasetCtx and the factory's BuildShard, which is what makes a
-// multi-process factory corpus byte-identical to a serial build.
+// and returns the result as a shard. BuildDatasetCtx labels through it with
+// and without a checkpoint, which is what makes a resumed build
+// byte-identical to an uninterrupted one.
 func computeShard(l layout.Layout, li int, cfg Config) (shard, error) {
 	cands, err := SampleDecompositions(l, cfg)
 	if err != nil {

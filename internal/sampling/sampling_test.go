@@ -20,7 +20,7 @@ func testConfig() Config {
 	return cfg
 }
 
-func pool(t *testing.T, n int) []layout.Layout {
+func pool(t testing.TB, n int) []layout.Layout {
 	t.Helper()
 	set, err := layout.GenerateSet(11, n, layout.DefaultGenParams())
 	if err != nil {

@@ -10,7 +10,7 @@
 //     scheduling across clients; when full the server sheds load with 429 +
 //     Retry-After instead of queuing unboundedly;
 //   - per-job budgets and retry: every job runs under a runx.Budget, with
-//     runx.Retry (jittered exponential backoff, budget-aware) wrapping
+//     runx.Retry (exponential backoff, budget-aware) wrapping
 //     transient failures before the job falls through core.Flow's
 //     degradation ladder to a failed-with-partial-result;
 //   - crash-safe job store: every state transition is sealed as an

@@ -6,12 +6,12 @@
 # weight set and the pooled GEMM scratch), and short fuzz smokes on the GDS
 # and CSV readers, the artifact envelope, the serve job-spec decode and
 # content hash, the serve job store's recovery of spec and state payloads
-# inside sealed envelopes, the factory's lease, crash and attempts records
-# and shard names, and the predictor file inside its sealed envelope so
-# hostile-input regressions surface before a long fuzz campaign would find
-# them. The repository benchmark module under bench/ imports the flow, ILT,
-# litho, FFT, serve, model and sampling packages, so it is vetted and tested
-# here too: an API change that would break bench/run.sh fails CI instead.
+# inside sealed envelopes, and the predictor file, the training checkpoint
+# and the dataset shard inside theirs, so hostile-input regressions surface
+# before a long fuzz campaign would find them. The repository benchmark
+# module under bench/ imports the flow, ILT, litho, FFT, serve, model and
+# sampling packages, so it is vetted and tested here too: an API change that
+# would break bench/run.sh fails CI instead.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -38,14 +38,7 @@ fi
 go test -timeout 300s -shuffle=on ./...
 (cd bench && go vet ./... && go test ./...)
 
-# Factory gates: lease claiming, reclaim, hung-worker kill, poison quarantine
-# and resume run under -race via ./internal/factory in the next line. The
-# chaos drill is carried by TestFactoryChaosConvergesToSerial (in-process
-# kills) and TestFactoryRealProcessChaosDrill (re-exec'd workers SIGKILLed
-# mid-build), both converging byte-identical to the serial reference, and by
-# TestFactoryResume, which also resumes an already-complete directory and
-# requires its manifest bytes unchanged.
-go test -timeout 600s -race ./internal/ilt ./internal/litho ./internal/fft ./internal/core ./internal/par ./internal/sampling ./internal/runx ./internal/faultinject ./internal/artifact ./internal/tensor ./internal/nn ./internal/model ./internal/serve ./internal/factory
+go test -timeout 600s -race ./internal/ilt ./internal/litho ./internal/fft ./internal/core ./internal/par ./internal/sampling ./internal/runx ./internal/faultinject ./internal/artifact ./internal/tensor ./internal/nn ./internal/model ./internal/serve
 # The slot scheduler's tests depend on goroutine timing: its coalescing and
 # bitwise pipeline tests, the coalescer's, a free slot admitting a job past
 # a slow one, no two server predictions overlapping across a forced retry,
@@ -61,12 +54,16 @@ go test -run='^$' -fuzz='^FuzzJobSpec$' -fuzztime=10s ./internal/serve
 # interesting inputs (10 to 15 executions); capped at 20 runs per input the
 # smoke makes ~2,500.
 go test -run='^$' -fuzz='^FuzzStoreRecover$' -fuzztime=10s -fuzzminimizetime=20x ./internal/serve
-go test -run='^$' -fuzz='^FuzzShardRecords$' -fuzztime=10s ./internal/factory
 # The predictor seeds are 37 KB and 531 KB Write payloads. Left at its
 # default, the minimizer spends the smoke deleting their bytes one at a
 # time (4 executions in 10 s); capped at 20 runs per input, the smoke makes
-# ~75,000.
+# ~75,000. The training checkpoint seeds are 96 KB, and each checkpoint and
+# shard input is sealed into a file and read back: at the default those two
+# smokes made 6 executions in 15 s and 4 in 10 s; capped, ~6,500 to 8,600
+# and ~15,000 to 23,000 in 10 s.
 go test -run='^$' -fuzz='^FuzzPredictorRead$' -fuzztime=10s -fuzzminimizetime=20x ./internal/model
+go test -run='^$' -fuzz='^FuzzTrainCheckpoint$' -fuzztime=10s -fuzzminimizetime=20x ./internal/model
+go test -run='^$' -fuzz='^FuzzReadShard$' -fuzztime=10s -fuzzminimizetime=20x ./internal/sampling
 
 # Compute-engine gates: alloc-regression tests on the ILT and NN hot paths,
 # the frozen lanes' memory gate (TestResNet18LaneUnder15MB: a new 224²
