@@ -30,7 +30,10 @@ import (
 )
 
 // Scorer predicts printability scores for decomposition images; lower is
-// better. *model.Predictor implements it.
+// better. *model.Predictor implements it. A scorer shared by concurrent
+// runs — the slots of RunStream and RunPipelineCtx, or RunContext calls on
+// several goroutines — must be safe for concurrent use, as
+// *model.Predictor is.
 type Scorer interface {
 	PredictBatch(imgs []*grid.Grid) []float64
 }
@@ -179,10 +182,10 @@ func (f *Flow) RunContext(ctx context.Context, l layout.Layout) (Result, error) 
 }
 
 // layoutRun carries one layout through the flow's three stages — generate,
-// score, optimize. RunContext drives them back to back; the pipelined
-// scheduler (pipeline.go) drives the same stages with scoring coalesced
-// across in-flight layouts, so both paths run identical per-layout code and
-// produce bitwise-identical results.
+// score, optimize. RunContext drives them back to back; each slot of the
+// pipelined scheduler (pipeline.go) drives the same stages for the layouts
+// it claims, so both paths run identical per-layout code and produce
+// bitwise-identical results.
 type layoutRun struct {
 	f     *Flow
 	l     layout.Layout
@@ -192,9 +195,8 @@ type layoutRun struct {
 	// imgs holds the rendered candidate images when prediction applies
 	// (scorer present, >1 candidate); nil means the scoring stage is a
 	// no-op for this layout.
-	imgs   []*grid.Grid
-	scores []float64
-	res    Result
+	imgs []*grid.Grid
+	res  Result
 }
 
 // generate is the decomposition-generation stage: enumerate candidates and
@@ -255,10 +257,7 @@ func (f *Flow) predict(imgs []*grid.Grid) (scores []float64, err error) {
 
 // applyScores is the prediction-stage epilogue: sort the candidate order
 // ascending by score (lower = better predicted printability), or degrade to
-// generator order when the scorer failed — rung 1 of the ladder. The scores
-// themselves are a per-image function of the image alone, so it does not
-// matter whether they came from a per-layout PredictBatch call or a flush
-// coalesced across many layouts.
+// generator order when the scorer failed — rung 1 of the ladder.
 func (lr *layoutRun) applyScores(scores []float64, serr error) {
 	if serr != nil {
 		lr.res.ScorerFallback = true
@@ -269,7 +268,6 @@ func (lr *layoutRun) applyScores(scores []float64, serr error) {
 		sort.SliceStable(lr.order, func(a, b int) bool { return scores[lr.order[a]] < scores[lr.order[b]] })
 	}
 	lr.res.PredScores = scores
-	lr.scores = scores
 }
 
 // optimize is the mask-optimization stage: ILT with the violation-feedback

@@ -141,35 +141,47 @@ func TestPipelineMatchesSerialBitwise(t *testing.T) {
 				for i := range want {
 					mustEqualResult(t, sc.name, got[i], want[i])
 				}
-				if stats.Coalesce.Requests != len(ls) {
-					t.Fatalf("coalescer served %d requests, want %d", stats.Coalesce.Requests, len(ls))
-				}
-				if stats.Coalesce.MaxBatch < 2 {
-					t.Fatalf("no cross-layout coalescing happened: %+v", stats.Coalesce)
+				if stats.Coalesce.Flushes != len(ls) {
+					t.Fatalf("%d scorer calls, want one per layout (%d)", stats.Coalesce.Flushes, len(ls))
 				}
 			}
 		})
 	}
 }
 
-// TestPipelineCoalescesPredictions: the scheduler issues far fewer scorer
-// invocations than the serial flow's one-per-layout, and the invocation
-// count equals the coalescer's flush count.
+// TestPipelineCoalescesPredictions: each slot scores its own layout, so
+// the scheduler makes one scorer call per layout with more than one
+// candidate, exactly as the serial flow does, and counts each call once.
+// The batch holds a layout whose generation fails and a single-contact
+// layout with one candidate; neither is scored.
 func TestPipelineCoalescesPredictions(t *testing.T) {
-	ls := pipeLayouts(t, 6)
+	one := layout.Layout{Name: "one-contact", Window: geom.RectWH(0, 0, layout.TileNM, layout.TileNM),
+		Patterns: []geom.Rect{geom.RectWH(196, 196, layout.ContactNM, layout.ContactNM)}}
+	ls := append(pipeLayouts(t, 6), layout.Layout{Name: "empty"}, one)
 	var calls atomic.Int64
 	f := NewFlow(countingScorer{calls: &calls}, fastConfig())
-	_, stats := f.RunPipeline(ls, PipelineOptions{Workers: 3})
+	results, stats := f.RunPipeline(ls, PipelineOptions{Workers: 3})
+	scored, images := 0, 0
+	for _, r := range results {
+		if r.Res.Candidates > 1 {
+			scored++
+			images += r.Res.Candidates
+		}
+	}
 	if got := int(calls.Load()); got != stats.Coalesce.Flushes {
-		t.Fatalf("scorer saw %d calls, coalescer reports %d flushes", got, stats.Coalesce.Flushes)
+		t.Fatalf("scorer saw %d calls, stats report %d flushes", got, stats.Coalesce.Flushes)
 	}
-	if stats.Coalesce.Flushes >= len(ls) {
-		t.Fatalf("%d flushes for %d layouts: nothing was coalesced", stats.Coalesce.Flushes, len(ls))
+	if c := results[len(ls)-1].Res.Candidates; c != 1 {
+		t.Fatalf("the single-contact layout has %d candidates, want 1", c)
 	}
-	if stats.Coalesce.Requests != len(ls) {
-		t.Fatalf("requests = %d, want %d", stats.Coalesce.Requests, len(ls))
+	if stats.Coalesce.Flushes != scored {
+		t.Fatalf("%d flushes, want one per layout with more than one candidate (%d of %d)",
+			stats.Coalesce.Flushes, scored, len(ls))
 	}
-	if stats.Images == 0 || stats.Wall <= 0 {
+	if stats.Images != images {
+		t.Fatalf("images = %d, want the scored layouts' %d candidates", stats.Images, images)
+	}
+	if stats.Layouts != len(ls) || stats.Wall <= 0 {
 		t.Fatalf("stats not populated: %+v", stats)
 	}
 }
@@ -297,8 +309,8 @@ func TestPipelineGenErrorIsPerLayout(t *testing.T) {
 			t.Fatalf("layout %d disturbed by batchmate failure: %+v", i, got[i].Err)
 		}
 	}
-	if stats.Coalesce.Requests != 2 {
-		t.Fatalf("requests = %d, want 2 (failed layout withdraws)", stats.Coalesce.Requests)
+	if stats.Coalesce.Flushes != 2 {
+		t.Fatalf("flushes = %d, want 2 (the failed layout is not scored)", stats.Coalesce.Flushes)
 	}
 }
 
@@ -308,16 +320,15 @@ func TestPipelineEmptyAndNilScorer(t *testing.T) {
 	if res, _ := f.RunPipeline(nil, PipelineOptions{}); len(res) != 0 {
 		t.Fatalf("empty input returned %d results", len(res))
 	}
-	// nil scorer: every layout withdraws from the queue; the pipeline still
-	// matches serial.
+	// nil scorer: no layout is scored; the pipeline still matches serial.
 	ls := pipeLayouts(t, 2)
 	want := serialRef(t, f, ls)
 	got, stats := f.RunPipeline(ls, PipelineOptions{Workers: 2})
 	for i := range want {
 		mustEqualResult(t, "nil-scorer", got[i], want[i])
 	}
-	if stats.Coalesce.Requests != 0 || stats.Coalesce.Flushes != 0 {
-		t.Fatalf("nil scorer must not reach the coalescer: %+v", stats.Coalesce)
+	if stats.Coalesce.Flushes != 0 {
+		t.Fatalf("nil scorer must not be called: %+v", stats.Coalesce)
 	}
 }
 
@@ -352,7 +363,7 @@ func TestRunStreamPerJobConfigsMatchSerial(t *testing.T) {
 	for i := range want {
 		mustEqualResult(t, "stream", got[i], want[i])
 	}
-	if stats.Layouts != len(ls) || stats.Coalesce.Requests != len(ls) || stats.Workers != 2 {
+	if stats.Layouts != len(ls) || stats.Coalesce.Flushes != len(ls) || stats.Workers != 2 {
 		t.Fatalf("stats: %+v", stats)
 	}
 }

@@ -20,10 +20,10 @@ func batchImgs(n, seed int64) []*grid.Grid {
 	return imgs
 }
 
-// TestPredictBatchCompositionInvariant is the contract the flow's
-// request-coalescing queue stands on: scoring the concatenation of two
-// batches returns, bitwise, the concatenation of scoring them separately.
-// Batch composition is purely a scheduling artifact.
+// TestPredictBatchCompositionInvariant is the contract the lane sharding
+// stands on: scoring the concatenation of two batches returns, bitwise, the
+// concatenation of scoring them separately. Batch composition is purely a
+// scheduling artifact.
 func TestPredictBatchCompositionInvariant(t *testing.T) {
 	p, err := New(testConfig())
 	if err != nil {

@@ -20,7 +20,7 @@ import (
 // instead of being misdecoded.
 const (
 	trainCheckpointKind    = "train-checkpoint"
-	trainCheckpointVersion = 1
+	trainCheckpointVersion = 2
 	// prevSuffix names the retained previous-epoch checkpoint. Keeping the
 	// last two means a corrupt (or torn, on non-atomic filesystems) latest
 	// checkpoint costs one checkpoint interval of work, not the whole run.
@@ -28,17 +28,43 @@ const (
 )
 
 // trainCheckpoint is the persisted training trajectory at an epoch boundary.
-// Seed and Samples key the checkpoint to its run so a stale file (different
-// dataset or config) is rejected instead of silently resuming the wrong
-// training. The network parameters — including the BatchNorm running stats,
-// which live in Params() as NoGrad entries — follow the header in the same
-// gob stream.
+// Run keys the checkpoint to the trajectory that wrote it, so a stale file
+// (different dataset or config) is rejected instead of silently resuming the
+// wrong training. The network parameters — including the BatchNorm running
+// stats, which live in Params() as NoGrad entries — follow the header in the
+// same gob stream.
 type trainCheckpoint struct {
-	Seed    int64
-	Samples int
+	Run     trainRun
 	Epoch   int
 	History []float64
 	Adam    nn.AdamState
+}
+
+// trainRun is everything besides the weights that shapes a training
+// trajectory up to any epoch: the shuffle seed, the dataset size, the batch
+// size, the learning-rate schedule and the loss. The epoch count is not part
+// of it, so a longer run on the same schedule resumes a shorter one.
+type trainRun struct {
+	Seed        int64
+	Samples     int
+	BatchSize   int
+	LR          float64
+	DecayAt     int
+	DecayFactor float64
+	UseMSE      bool
+}
+
+// runOf returns the trajectory key of training over samples under tc.
+func runOf(tc TrainConfig, samples int) trainRun {
+	return trainRun{
+		Seed:        tc.Seed,
+		Samples:     samples,
+		BatchSize:   tc.BatchSize,
+		LR:          tc.LR,
+		DecayAt:     tc.DecayAt,
+		DecayFactor: tc.DecayFactor,
+		UseMSE:      tc.UseMSE,
+	}
 }
 
 // saveTrainCheckpoint persists the training state inside a sealed artifact
@@ -71,11 +97,11 @@ func saveTrainCheckpoint(path string, net *nn.Network, cp trainCheckpoint) error
 // resume from. A rejected envelope (bit flip, truncation, version skew,
 // wrong kind) is quarantined to *.quarantined with a log line saying exactly
 // what was discarded and why, and the previous checkpoint takes over; a
-// checkpoint recorded for a different seed or dataset size is a hard error
-// (it belongs to another run — recovery would train the wrong model).
-func loadTrainCheckpoint(path string, net *nn.Network, seed int64, samples int, log io.Writer) (trainCheckpoint, bool, error) {
+// checkpoint recorded for another run than want is a hard error (it belongs
+// to another trajectory — recovery would train the wrong model).
+func loadTrainCheckpoint(path string, net *nn.Network, want trainRun, log io.Writer) (trainCheckpoint, bool, error) {
 	for _, p := range []string{path, path + prevSuffix} {
-		cp, ok, err := loadSealedCheckpoint(p, net, seed, samples)
+		cp, ok, err := loadSealedCheckpoint(p, net, want)
 		if err == nil {
 			if ok {
 				return cp, true, nil
@@ -102,7 +128,7 @@ func loadTrainCheckpoint(path string, net *nn.Network, seed int64, samples int, 
 // file passes it: the header and every weight vector are checked against
 // net before any weight is copied, and a file that does not fit is rejected
 // as corrupt with net unchanged.
-func loadSealedCheckpoint(path string, net *nn.Network, seed int64, samples int) (trainCheckpoint, bool, error) {
+func loadSealedCheckpoint(path string, net *nn.Network, want trainRun) (trainCheckpoint, bool, error) {
 	payload, err := artifact.ReadFile(path, trainCheckpointKind, trainCheckpointVersion)
 	if errors.Is(err, fs.ErrNotExist) {
 		return trainCheckpoint{}, false, nil
@@ -117,10 +143,10 @@ func loadSealedCheckpoint(path string, net *nn.Network, seed int64, samples int)
 		// field failed to capture — reject it as corrupt so it quarantines.
 		return trainCheckpoint{}, false, fmt.Errorf("model: checkpoint %s undecodable (%v): %w", path, err, artifact.ErrCorrupt)
 	}
-	if cp.Seed != seed || cp.Samples != samples {
+	if cp.Run != want {
 		return trainCheckpoint{}, false, fmt.Errorf(
-			"model: checkpoint %s was written for seed %d over %d samples, run has seed %d over %d — stale checkpoint?",
-			path, cp.Seed, cp.Samples, seed, samples)
+			"model: checkpoint %s was written for run %+v, this run is %+v — stale checkpoint?",
+			path, cp.Run, want)
 	}
 	if err := cp.fits(net.Params()); err != nil {
 		return trainCheckpoint{}, false, fmt.Errorf("model: checkpoint %s %v: %w", path, err, artifact.ErrCorrupt)

@@ -135,8 +135,10 @@ func TestTrainCtxFreshCheckpointPathTrains(t *testing.T) {
 	}
 }
 
-// TestTrainCtxStaleCheckpointRejected: a checkpoint from a different run
-// (other seed) must fail loudly, not silently poison the weights.
+// TestTrainCtxStaleCheckpointRejected: a checkpoint from a different run —
+// another seed, batch size, learning-rate schedule or loss — must fail
+// loudly, not silently poison the weights. A longer run on the same
+// schedule is the same trajectory and resumes.
 func TestTrainCtxStaleCheckpointRejected(t *testing.T) {
 	ds := syntheticDataset(16, 5)
 	ckpt := filepath.Join(t.TempDir(), "train.ckpt")
@@ -144,15 +146,39 @@ func TestTrainCtxStaleCheckpointRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := trainCfg(ckpt)
-	tc.Epochs = 1
-	if _, err := p.TrainCtx(context.Background(), ds, tc); err != nil {
+	base := trainCfg(ckpt)
+	base.Epochs = 1
+	if _, err := p.TrainCtx(context.Background(), ds, base); err != nil {
 		t.Fatal(err)
 	}
-	tc.Seed++
-	if _, err := p.TrainCtx(context.Background(), ds, tc); err == nil {
-		t.Fatal("stale checkpoint must be rejected")
-	} else if !strings.Contains(err.Error(), "stale checkpoint") {
-		t.Fatalf("unexpected stale error: %v", err)
+	for _, c := range []struct {
+		name string
+		edit func(tc *TrainConfig)
+	}{
+		{"seed", func(tc *TrainConfig) { tc.Seed++ }},
+		{"batch-size", func(tc *TrainConfig) { tc.BatchSize = 4 }},
+		{"lr", func(tc *TrainConfig) { tc.LR *= 2 }},
+		{"decay-at", func(tc *TrainConfig) { tc.DecayAt++ }},
+		{"decay-factor", func(tc *TrainConfig) { tc.DecayFactor = 0.3 }},
+		{"mse", func(tc *TrainConfig) { tc.UseMSE = true }},
+	} {
+		tc := base
+		c.edit(&tc)
+		if _, err := p.TrainCtx(context.Background(), ds, tc); err == nil {
+			t.Fatalf("%s: stale checkpoint must be rejected", c.name)
+		} else if !strings.Contains(err.Error(), "stale checkpoint") {
+			t.Fatalf("%s: unexpected stale error: %v", c.name, err)
+		}
+	}
+
+	var log strings.Builder
+	longer := base
+	longer.Epochs = 2
+	longer.Log = &log
+	if _, err := p.TrainCtx(context.Background(), ds, longer); err != nil {
+		t.Fatalf("a longer run on the same schedule: %v", err)
+	}
+	if !strings.Contains(log.String(), "resuming from "+ckpt+" at epoch 1/2") {
+		t.Fatalf("a longer run on the same schedule did not resume:\n%s", log.String())
 	}
 }

@@ -310,7 +310,7 @@ func TestTrainCheckpointMisfitQuarantined(t *testing.T) {
 // drive an Adam step and re-seal to bytes that load back and re-seal
 // identically.
 func FuzzTrainCheckpoint(f *testing.F) {
-	const seed, samples = 7, 16
+	const samples = 16
 	ckpt := filepath.Join(f.TempDir(), "train.ckpt")
 	p, err := New(testConfig())
 	if err != nil {
@@ -321,6 +321,7 @@ func FuzzTrainCheckpoint(f *testing.F) {
 	if _, err := p.TrainCtx(context.Background(), syntheticDataset(samples, 5), tc); err != nil {
 		f.Fatal(err)
 	}
+	run := runOf(tc, samples)
 	for _, path := range []string{ckpt + prevSuffix, ckpt} {
 		payload, err := artifact.ReadFile(path, trainCheckpointKind, trainCheckpointVersion)
 		if err != nil {
@@ -343,7 +344,7 @@ func FuzzTrainCheckpoint(f *testing.F) {
 			t.Fatal(err)
 		}
 		before := weightsOf(t, p)
-		cp, ok, err := loadSealedCheckpoint(path, p.Net, seed, samples)
+		cp, ok, err := loadSealedCheckpoint(path, p.Net, run)
 		if err != nil {
 			if !artifact.Rejected(err) && !strings.Contains(err.Error(), "stale checkpoint") {
 				t.Fatalf("rejection without a typed error: %v", err)
@@ -364,7 +365,7 @@ func FuzzTrainCheckpoint(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cq, ok, err := loadSealedCheckpoint(resealed, q.Net, seed, samples)
+		cq, ok, err := loadSealedCheckpoint(resealed, q.Net, run)
 		if err != nil || !ok {
 			t.Fatalf("an accepted checkpoint does not load back: ok=%v err=%v", ok, err)
 		}
@@ -404,7 +405,7 @@ func TestTrainCheckpointVersionSkewQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	var log strings.Builder
-	cp, ok, err := loadTrainCheckpoint(ckpt, p.Net, 7, 24, &log)
+	cp, ok, err := loadTrainCheckpoint(ckpt, p.Net, runOf(trainCfg(ckpt), 24), &log)
 	if err != nil || ok {
 		t.Fatalf("skewed checkpoint: got (%+v, %v, %v), want quiet fresh start", cp, ok, err)
 	}
@@ -429,7 +430,7 @@ func TestTrainCheckpointWrongKindQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	var log strings.Builder
-	cp, ok, err := loadTrainCheckpoint(ckpt, p.Net, 7, 24, &log)
+	cp, ok, err := loadTrainCheckpoint(ckpt, p.Net, runOf(trainCfg(ckpt), 24), &log)
 	if err != nil || ok {
 		t.Fatalf("wrong-kind checkpoint: got (%+v, %v, %v), want quiet fresh start", cp, ok, err)
 	}

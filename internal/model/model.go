@@ -18,6 +18,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"sync"
 
 	"ldmo/internal/artifact"
 	"ldmo/internal/grid"
@@ -147,12 +148,15 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Predictor is the trained printability estimator. A Predictor is not safe
-// for concurrent use, but PredictBatch parallelizes internally: the batch is
-// sharded over worker lanes, each forwarding through its own lane of the
-// network (nn layers are single-goroutine). Every sample's forward pass is
+// Predictor is the trained printability estimator. Its predictions are safe
+// for concurrent use: PredictBatchInto, which Predict and PredictBatch go
+// through, holds one mutex for the whole call, so concurrent calls run one
+// after another. Each call parallelizes internally: the batch is sharded
+// over worker lanes, each forwarding through its own lane of the network
+// (nn layers are single-goroutine). Every sample's forward pass is
 // independent of its batchmates (inference-mode batch norm uses running
-// statistics), so sharded scores are bit-identical to the single-batch ones.
+// statistics), so sharded scores are bit-identical to the single-batch
+// ones. Training and SetClock must not overlap a prediction.
 //
 // Inference runs on one nn.Network.Freeze() copy — batch norm folded into
 // the preceding convolutions, conv weights pre-packed for the GEMM, no
@@ -167,6 +171,9 @@ type Predictor struct {
 	Norm  ScoreNorm
 	clock *simclock.Clock
 
+	// mu serializes inference: the lanes, their input tensors and the lane
+	// pool below belong to one call at a time.
+	mu      sync.Mutex
 	workers int              // batch-sharding lanes; 0 = par.Workers()
 	frozen  []*nn.Network    // lazily built inference lanes; lane 0 is the frozen copy
 	pool    *par.Pool        // cached lane pool, rebuilt when workers changes
@@ -216,6 +223,8 @@ func (p *Predictor) SetWorkers(n int) {
 	if n < 0 {
 		n = 0
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.workers = n
 	// The frozen lanes stay valid (weights unchanged); only the lane pool
 	// is sized by the worker count.
@@ -301,15 +310,17 @@ func (p *Predictor) PredictBatch(imgs []*grid.Grid) []float64 {
 
 // PredictBatchInto is PredictBatch writing into a caller-owned score slice
 // (len(out) must equal len(imgs)). Once warm, a call at a previously seen
-// batch size reuses the cached lane input tensors and the frozen lanes,
-// so the coalesced prediction stage of the pipelined flow adds no
-// steady-state garbage beyond any needed input resampling.
+// batch size reuses the cached lane input tensors and the frozen lanes, so
+// it adds no steady-state garbage beyond any needed input resampling.
 //
-// Scores are a per-sample function of each image alone — inference batch
-// norm uses running statistics and the blocked GEMM reduction order is
-// independent of batch composition — so any concatenation or split of
-// batches returns bitwise-identical scores per image. The flow's coalescing
-// across candidates and layouts relies on this invariance.
+// Concurrent calls are safe: each holds the predictor's mutex from start to
+// end, so a call that arrives while another runs waits for it, and both
+// return what they would have returned alone. Scores are a per-sample
+// function of each image alone — inference batch norm uses running
+// statistics and the blocked GEMM reduction order is independent of batch
+// composition — so any concatenation or split of batches returns
+// bitwise-identical scores per image, and the lanes may shard a batch
+// freely.
 func (p *Predictor) PredictBatchInto(imgs []*grid.Grid, out []float64) {
 	if len(imgs) == 0 {
 		return
@@ -317,6 +328,8 @@ func (p *Predictor) PredictBatchInto(imgs []*grid.Grid, out []float64) {
 	if len(out) != len(imgs) {
 		panic(fmt.Sprintf("model: PredictBatchInto out length %d != batch %d", len(out), len(imgs)))
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.clock.Charge(simclock.CostCNNInference, len(imgs))
 	pool := p.lanePool()
 	lanes := min(pool.Size(), len(imgs))

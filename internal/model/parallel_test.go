@@ -2,6 +2,7 @@ package model
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"ldmo/internal/geom"
@@ -90,4 +91,51 @@ func TestPredictBatchReplicasTrackTraining(t *testing.T) {
 	if !changed {
 		t.Fatal("training did not move any prediction; replica test is vacuous")
 	}
+}
+
+// TestPredictBatchConcurrentMatchesSerial: one predictor shared by several
+// goroutines, as the pipelined flow's slots and the job service share
+// theirs. Four goroutines score batches of 1, 2, 3 and 5 images, each in
+// its own rotation, on one fresh two-lane TinyConfig predictor at once;
+// every score must equal a serial call's bit for bit. Under -race it also
+// holds that no two calls touch the lanes, their input tensors or the lane
+// pool at the same time.
+func TestPredictBatchConcurrentMatchesSerial(t *testing.T) {
+	ref, err := New(TinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.SetWorkers(1)
+	rng := rand.New(rand.NewSource(79))
+	sizes := []int{1, 2, 3, 5}
+	batches := make([][]*grid.Grid, len(sizes))
+	want := make([][]float64, len(sizes))
+	for i, n := range sizes {
+		batches[i] = randImages(rng, n, ref.Cfg.InputSize)
+		want[i] = ref.PredictBatch(batches[i])
+	}
+
+	p, err := New(TinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SetWorkers(2)
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := range 2 * len(sizes) {
+				b := (g + rep) % len(sizes)
+				got := p.PredictBatch(batches[b])
+				for i := range want[b] {
+					if got[i] != want[b][i] {
+						t.Errorf("goroutine %d, batch of %d: score %d = %g, serial %g", g, sizes[b], i, got[i], want[b][i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

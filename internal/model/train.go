@@ -138,7 +138,7 @@ func (p *Predictor) TrainCtx(ctx context.Context, ds *Dataset, tc TrainConfig) (
 	startEpoch := 0
 
 	if tc.Checkpoint != "" {
-		cp, ok, err := loadTrainCheckpoint(tc.Checkpoint, p.Net, tc.Seed, ds.Len(), tc.Log)
+		cp, ok, err := loadTrainCheckpoint(tc.Checkpoint, p.Net, runOf(tc, ds.Len()), tc.Log)
 		if err != nil {
 			return nil, err
 		}
@@ -235,8 +235,7 @@ func (p *Predictor) TrainCtx(ctx context.Context, ds *Dataset, tc TrainConfig) (
 		}
 		if tc.Checkpoint != "" && ((epoch+1)%every == 0 || epoch+1 == tc.Epochs) {
 			cp := trainCheckpoint{
-				Seed:    tc.Seed,
-				Samples: ds.Len(),
+				Run:     runOf(tc, ds.Len()),
 				Epoch:   epoch + 1,
 				History: append([]float64(nil), history...),
 				Adam:    adam.State(),

@@ -163,10 +163,9 @@ func TestBuildDatasetCheckpointStaleDirRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	other := pool(t, 4) // different pool → different layout names
-	if other[0].Name == p[0].Name {
-		t.Skip("layout pools unexpectedly share names")
-	}
+	// GenerateSet names layouts by index, so a pool that starts one layout
+	// later puts other names at the same shard indices.
+	other := pool(t, 4)[1:]
 	if _, _, err := BuildDatasetCtx(context.Background(), other, cfg, nil); err == nil {
 		t.Fatal("stale checkpoint dir must be rejected")
 	} else if !strings.Contains(err.Error(), "stale checkpoint") {

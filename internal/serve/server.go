@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"ldmo/internal/core"
-	"ldmo/internal/grid"
 	"ldmo/internal/layout"
 	"ldmo/internal/litho"
 	"ldmo/internal/par"
@@ -32,9 +31,9 @@ type Config struct {
 	// with 429. <=0 selects 64.
 	QueueCap int
 	// Workers sizes the executor: max(2, Workers) slots each claim the next
-	// queued job as soon as their last one settles, so prediction coalesces
-	// across jobs even on a single-core host (CPU use stays bounded by
-	// GOMAXPROCS). <=0 selects par.Workers().
+	// queued job as soon as their last one settles, so a slow job never
+	// holds up the next one, even on a single-core host (CPU use stays
+	// bounded by GOMAXPROCS). <=0 selects par.Workers().
 	Workers int
 	// Budget is the default per-job budget; a job's deadline_ms overrides
 	// the wall limit. The zero value is unlimited.
@@ -44,9 +43,10 @@ type Config struct {
 	// the zero value selects runx defaults (3 attempts).
 	Retry runx.RetryConfig
 	// Scorer is the optional trained predictor; nil degrades every job to
-	// generator candidate order (the no-predictor ablation). It is fixed for
-	// the server's life: NewServer reads its Digest once for the job IDs,
-	// and the server serializes every prediction it makes with it.
+	// generator candidate order (the no-predictor ablation). The slots and
+	// a settling job's retries call it concurrently, so it must be safe for
+	// concurrent use, as *model.Predictor is. It is fixed for the server's
+	// life: NewServer reads its Digest once for the job IDs.
 	Scorer core.Scorer
 	// RetryAfter is the hint sent with 429 responses; <=0 selects 1s.
 	RetryAfter time.Duration
@@ -75,10 +75,8 @@ type Server struct {
 	cfg   Config
 	store *Store
 	queue *fairQueue
-	// scorer is cfg.Scorer behind the server's one prediction lock (nil
-	// without a scorer); fp is cfg.Scorer's provenance string for jobID.
-	scorer core.Scorer
-	fp     string
+	// fp is cfg.Scorer's provenance string for jobID.
+	fp string
 
 	mu   sync.Mutex
 	jobs map[string]*jobEntry
@@ -129,9 +127,6 @@ func NewServer(cfg Config) (*Server, error) {
 		jobs:  map[string]*jobEntry{},
 		wake:  make(chan struct{}, 1),
 		done:  make(chan struct{}),
-	}
-	if cfg.Scorer != nil {
-		s.scorer = &lockedScorer{sc: cfg.Scorer}
 	}
 	s.runCtx, s.runCancel = context.WithCancel(context.Background())
 
@@ -472,7 +467,7 @@ func (s *Server) claim(ctx context.Context) (core.StreamJob, bool) {
 				s.settleFailed(id, 0, fmt.Errorf("materialize layout: %w", err), nil)
 				continue
 			}
-			flow := core.NewFlow(s.scorer, s.flowConfig(spec))
+			flow := core.NewFlow(s.cfg.Scorer, s.flowConfig(spec))
 			return core.StreamJob{Flow: flow, Layout: l, Done: func(r core.PipeResult) {
 				s.settle(id, l, flow, r.Res, r.Err)
 			}}, true
@@ -552,34 +547,6 @@ func fingerprint(sc core.Scorer) string {
 		return "scorer=" + d.Digest()
 	}
 	return ""
-}
-
-// lockedScorer serializes every prediction the server makes. Slots flush
-// coalesced batches while a settling job's retries score on their own, and
-// a model.Predictor is not safe for concurrent use.
-type lockedScorer struct {
-	mu sync.Mutex
-	sc core.Scorer
-}
-
-func (l *lockedScorer) PredictBatch(imgs []*grid.Grid) []float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.sc.PredictBatch(imgs)
-}
-
-// PredictBatchInto keeps the scheduler's allocation-free flush path for a
-// scorer that has one.
-func (l *lockedScorer) PredictBatchInto(imgs []*grid.Grid, out []float64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if bi, ok := l.sc.(interface {
-		PredictBatchInto([]*grid.Grid, []float64)
-	}); ok {
-		bi.PredictBatchInto(imgs, out)
-		return
-	}
-	copy(out, l.sc.PredictBatch(imgs))
 }
 
 // transientScorer marks a scorer fallback treated as transient: the

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"ldmo/internal/grid"
 	"ldmo/internal/runx"
 )
 
@@ -89,36 +88,16 @@ func TestFingerprintComputedOnce(t *testing.T) {
 	}
 }
 
-// overlapScorer fails the test when two of its calls overlap, and panics on
-// its first call.
-type overlapScorer struct {
-	t        *testing.T
-	inFlight atomic.Int32
-	calls    atomic.Int32
-	sumScorer
-}
-
-func (sc *overlapScorer) PredictBatch(imgs []*grid.Grid) []float64 {
-	if sc.inFlight.Add(1) > 1 {
-		sc.t.Error("two predictions overlap")
-	}
-	defer sc.inFlight.Add(-1)
-	if sc.calls.Add(1) == 1 {
-		panic("injected scorer crash")
-	}
-	// Widen the window in which an unserialized call would overlap.
-	time.Sleep(20 * time.Millisecond)
-	return sc.sumScorer.PredictBatch(imgs)
-}
-
-// TestPredictionsNeverOverlap: the server's predictions go through one
-// serialization point. The jobs are queued before the executor starts, so
-// the three slots claim at once and their first flush carries several jobs.
-// The scorer's first call panics, so every job of that flush retries on its
-// own RunContext while the other slots keep claiming and flushing; no two
-// calls may overlap.
+// TestPredictionsNeverOverlap: the server shares its scorer between its
+// slots and a settling job's retries, so its Scorer must be safe for
+// concurrent use; *model.Predictor serializes its own calls, which
+// TestPredictBatchConcurrentMatchesSerial holds. The jobs are queued before
+// the executor starts, so the three slots claim at once. The scorer's first
+// call panics, and that job retries on its own RunContext while the other
+// slots keep claiming and scoring; every job must still settle clean.
 func TestPredictionsNeverOverlap(t *testing.T) {
-	sc := &overlapScorer{t: t}
+	sc := &flakyScorer{}
+	sc.panics.Store(1)
 	s, ts := newTestServer(t, func(c *Config) {
 		c.Scorer = sc
 		c.Workers = 3

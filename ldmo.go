@@ -191,5 +191,7 @@ func TrainPredictor(pool []Layout, sc SamplingConfig, pc PredictorConfig, tc Tra
 func DefaultFlowConfig() FlowConfig { return core.DefaultConfig() }
 
 // NewFlow builds the Fig. 2 LDMO flow. scorer may be nil, in which case
-// candidates are tried in generation order (the no-predictor ablation).
+// candidates are tried in generation order (the no-predictor ablation). The
+// pipelined runs call the scorer from several goroutines, so it must be
+// safe for concurrent use, as *Predictor is.
 func NewFlow(scorer core.Scorer, cfg FlowConfig) *Flow { return core.NewFlow(scorer, cfg) }

@@ -3,7 +3,8 @@
 # internal packages, full test suite, the race detector over the packages
 # with concurrent hot paths (worker pool, FFT scratch sharing, the mask-lane
 # ILT session, candidate fan-out, predictor lanes reading one shared frozen
-# weight set and the pooled GEMM scratch), and short fuzz smokes on the GDS
+# weight set and the pooled GEMM scratch, the slots' calls on one shared
+# predictor), and short fuzz smokes on the GDS
 # and CSV readers, the artifact envelope, the serve job-spec decode and
 # content hash, the serve job store's recovery of spec and state payloads
 # inside sealed envelopes, and the predictor file, the training checkpoint
@@ -39,12 +40,13 @@ go test -timeout 300s -shuffle=on ./...
 (cd bench && go vet ./... && go test ./...)
 
 go test -timeout 600s -race ./internal/ilt ./internal/litho ./internal/fft ./internal/core ./internal/par ./internal/sampling ./internal/runx ./internal/faultinject ./internal/artifact ./internal/tensor ./internal/nn ./internal/model ./internal/serve
-# The slot scheduler's tests depend on goroutine timing: its coalescing and
-# bitwise pipeline tests, the coalescer's, a free slot admitting a job past
-# a slow one, no two server predictions overlapping across a forced retry,
-# and the running count. One race run can pass on lucky timing, so they run
-# ten times.
-go test -timeout 600s -race -count=10 -run='Pipeline|RunStream|Coalesc|FreeSlot|Overlap|RunningCount' ./internal/core ./internal/par ./internal/serve
+# The slot scheduler's tests depend on goroutine timing: its bitwise
+# pipeline tests, a free slot admitting a job past a slow one, a forced
+# retry while the other slots keep scoring, the running count, and
+# concurrent calls on one predictor, whose lock keeps them from
+# overlapping. One race run can pass on lucky timing, so they run ten
+# times.
+go test -timeout 600s -race -count=10 -run='Pipeline|RunStream|FreeSlot|Overlap|RunningCount|PredictBatchConcurrentMatchesSerial' ./internal/core ./internal/serve ./internal/model
 go test -run='^$' -fuzz='^FuzzReadGDS$' -fuzztime=10s ./internal/gds
 go test -run='^$' -fuzz='^FuzzReadCSV$' -fuzztime=10s ./internal/layout
 go test -run='^$' -fuzz='^FuzzUnseal$' -fuzztime=10s ./internal/artifact
@@ -81,7 +83,7 @@ go test -run='^$' -fuzz='^FuzzReadShard$' -fuzztime=10s -fuzzminimizetime=20x ./
 # that sizes a row- or column-pass FFT change, and BenchmarkPredictR18, two
 # 224² ResNet-18 candidates on two lanes, the one that sizes a GEMM or
 # frozen-layer change; their smokes keep them running.
-go test -timeout 120s -run='ZeroAlloc|SteadyStateAllocs|HotPathZeroAlloc|Under15MB' ./internal/fft ./internal/litho ./internal/ilt ./internal/nn ./internal/tensor ./internal/par ./internal/model
+go test -timeout 120s -run='ZeroAlloc|SteadyStateAllocs|HotPathZeroAlloc|Under15MB' ./internal/fft ./internal/litho ./internal/ilt ./internal/nn ./internal/tensor ./internal/model
 go test -run='^$' -bench='^BenchmarkFFT' -benchtime=100x ./internal/fft
 go test -run='^$' -bench='^BenchmarkAerialCell$' -benchtime=20x ./internal/litho
 go test -run='^$' -bench='^BenchmarkGEMM' -benchtime=100x ./internal/tensor
