@@ -3,8 +3,9 @@
 // or CSV), running the decompose -> predict -> ILT flow asynchronously on
 // the pipelined scheduler, and serving job status and results. The executor
 // runs max(2, workers) slots; each claims the next queued job (round-robin
-// across clients) as soon as its last one has settled, and the prediction
-// requests of the jobs claimed at once share one batched predictor call.
+// across clients) as soon as its last one has settled and scores that
+// job's candidates in one predictor call of its own, the predictor
+// running one call at a time.
 //
 // Usage:
 //

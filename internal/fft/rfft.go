@@ -72,30 +72,25 @@ func rfftRow(dst []complex128, src []float64, buf []complex128, twM, twN *twiddl
 	if core {
 		z = buf[:m]
 	}
-	j0 := 0
-	if vec {
-		// Whole pairs are a reinterpreting copy; the kernel streams them
-		// 32 bytes at a time. The boundary pair (odd src length) and the
-		// zero tail keep the scalar guards.
-		limit := len(src)
-		if limit > n {
-			limit = n
-		}
-		if pairs := limit / 2; pairs > 0 {
-			packPairsAVX(&z[0], &src[0], pairs)
-			j0 = pairs
+	// Whole pairs are a reinterpreting copy, which the vector kernel
+	// streams 32 bytes at a time. A src ending mid-pair leaves one
+	// boundary pair with a zero imaginary part, and the pairs past src are
+	// cleared.
+	limit := min(len(src), n)
+	pairs := limit / 2
+	if vec && pairs > 0 {
+		packPairsAVX(&z[0], &src[0], pairs)
+	} else {
+		for j := range pairs {
+			z[j] = complex(src[2*j], src[2*j+1])
 		}
 	}
-	for j := j0; j < m; j++ {
-		var re, im float64
-		if 2*j < len(src) {
-			re = src[2*j]
-		}
-		if 2*j+1 < len(src) {
-			im = src[2*j+1]
-		}
-		z[j] = complex(re, im)
+	j := pairs
+	if limit%2 == 1 {
+		z[j] = complex(src[2*j], 0)
+		j++
 	}
+	clear(z[j:])
 	if core {
 		transformInto(dst[:m], z, twM, false)
 		z = dst[:m]

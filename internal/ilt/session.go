@@ -165,16 +165,8 @@ func (s *Session) backwardMask(_, i int) {
 	sim := s.o.sims[i]
 	sim.ResistBackward(s.gradT, s.resist[i], s.gradI[i])
 	sim.AerialBackward(s.gradI[i], s.fields[i], s.gradM[i])
-	s.gradBad[i] = !finiteSlice(s.gradM[i])
-	if s.gradBad[i] {
-		return
-	}
-	tm := s.o.cfg.Litho.ThetaM
-	step := s.o.cfg.StepSize * s.stepScale
-	pi, mi, gm := s.p[i], s.m[i], s.gradM[i]
-	for j := range pi {
-		pi[j] -= step * gm[j] * tm * mi[j] * (1 - mi[j])
-	}
+	s.gradBad[i] = !litho.MaskSigmoidStep(s.o.cfg.Litho.ThetaM, s.o.cfg.StepSize*s.stepScale,
+		s.gradM[i], s.m[i], s.p[i])
 }
 
 // Step performs n gradient iterations (not exceeding the configured budget)
@@ -200,29 +192,13 @@ func (s *Session) Step(n int) int {
 		em := s.o.cfg.Meter.Measure(s.composed, s.o.cps)
 		s.trace = append(s.trace, IterStat{Iter: s.iter, L2: l2, EPEViolations: em.Violations})
 
-		for j := range s.gradT {
-			if s.sat[j] {
-				s.gradT[j] = 0
-			} else {
-				s.gradT[j] = 2 * (s.composed.Data[j] - s.o.target.Data[j])
-			}
-		}
+		litho.ComposeDoubleBackward(s.composed.Data, s.o.target.Data, s.sat, s.gradT)
 		s.o.lanes.Map(2, s.backwardLane)
 		s.current = false
 		s.fault = s.gradBad[0] || s.gradBad[1]
 		s.divergePoint()
 	}
 	return done
-}
-
-// finiteSlice reports whether xs is free of NaN/Inf.
-func finiteSlice(xs []float64) bool {
-	for _, x := range xs {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return false
-		}
-	}
-	return true
 }
 
 // Faulted reports whether the session hit a non-finite loss or gradient and

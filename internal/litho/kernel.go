@@ -21,11 +21,8 @@ func NewGaussianKernel(sigmaPx, support float64, weight float64) Kernel {
 	if sigmaPx <= 0 {
 		panic(fmt.Sprintf("litho: sigmaPx must be positive, got %g", sigmaPx))
 	}
-	r := int(math.Ceil(sigmaPx * support))
-	if r < 1 {
-		r = 1
-	}
-	size := 2*r + 1
+	size := kernelSize(sigmaPx, support)
+	r := size / 2
 	data := make([]float64, size*size)
 	sum := 0.0
 	for y := -r; y <= r; y++ {
@@ -39,6 +36,16 @@ func NewGaussianKernel(sigmaPx, support float64, weight float64) Kernel {
 		data[i] /= sum
 	}
 	return Kernel{Size: size, Data: data, Weight: weight}
+}
+
+// kernelSize returns the edge length of the kernel NewGaussianKernel builds
+// for sigmaPx and support: 2r+1 with r = ceil(sigmaPx*support), at least 1.
+func kernelSize(sigmaPx, support float64) int {
+	r := int(math.Ceil(sigmaPx * support))
+	if r < 1 {
+		r = 1
+	}
+	return 2*r + 1
 }
 
 // BuildKernelBank constructs the SOCS bank for p: a primary focus kernel and,
@@ -63,6 +70,17 @@ func MaxKernelSize(bank []Kernel) int {
 		}
 	}
 	return m
+}
+
+// bankKernelSize returns MaxKernelSize(BuildKernelBank(p)) without building
+// the bank, whose Gaussians cost (2r+1)² exp calls each.
+func bankKernelSize(p Params) int {
+	res := float64(p.Resolution)
+	ks := kernelSize(p.Sigma/res, p.KernelSupport)
+	if p.DefocusWeight > 0 {
+		ks = max(ks, kernelSize(p.DefocusSigma/res, p.KernelSupport))
+	}
+	return ks
 }
 
 // padKernel embeds k.Data centered inside a size x size raster (size >=

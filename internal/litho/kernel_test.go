@@ -122,3 +122,46 @@ func TestMaxKernelSize(t *testing.T) {
 		t.Fatal("empty bank max size")
 	}
 }
+
+// TestBankKernelSizeMatchesBank holds the size CheckRaster computes from
+// the params to the largest kernel BuildKernelBank builds: on the three
+// profiles, and on a sub-pixel sigma (r rounds up to 1, size 3), an
+// unweighted defocus kernel that is not built (so its wider sigma must not
+// count), a defocus kernel narrower than the primary, and supports that
+// put sigma·support just above and just below an integer.
+func TestBankKernelSizeMatchesBank(t *testing.T) {
+	cases := map[string]Params{
+		"default": DefaultParams(),
+		"fast":    FastParams(),
+		"paper":   PaperParams(),
+	}
+	edit := func(name string, mut func(*Params)) {
+		p := DefaultParams()
+		mut(&p)
+		if err := p.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cases[name] = p
+	}
+	edit("subpixel", func(p *Params) { p.Sigma, p.DefocusSigma, p.KernelSupport = 0.5, 0.25, 1 })
+	edit("tiny-support", func(p *Params) { p.KernelSupport = 1e-9 })
+	edit("no-defocus", func(p *Params) { p.DefocusWeight = 0; p.DefocusSigma = 400 })
+	edit("narrow-defocus", func(p *Params) { p.DefocusSigma = 10 })
+	edit("support-above-int", func(p *Params) { p.Resolution, p.Sigma, p.KernelSupport = 5, 50, 2.0000001 })
+	edit("support-below-int", func(p *Params) { p.Resolution, p.Sigma, p.KernelSupport = 5, 50, 1.9999999 })
+	edit("fractional", func(p *Params) { p.Resolution, p.Sigma, p.DefocusSigma, p.KernelSupport = 7, 33, 61, 2.35 })
+	want := map[string]int{"subpixel": 3, "tiny-support": 3}
+	for name, p := range cases {
+		bank := BuildKernelBank(p)
+		got := bankKernelSize(p)
+		if got != MaxKernelSize(bank) {
+			t.Errorf("%s: bankKernelSize = %d, the bank's largest kernel is %d", name, got, MaxKernelSize(bank))
+		}
+		if w, ok := want[name]; ok && got != w {
+			t.Errorf("%s: bankKernelSize = %d, want %d", name, got, w)
+		}
+	}
+	if p := cases["no-defocus"]; len(BuildKernelBank(p)) != 1 {
+		t.Fatal("an unweighted defocus kernel was built")
+	}
+}

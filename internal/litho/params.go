@@ -150,6 +150,14 @@ func MaskSigmoidInverse(thetaM float64, m []float64, p []float64) {
 	}
 }
 
+// MaskSigmoidStep takes one gradient step on the unbounded parameter P of
+// Eq. 1: P -= step * dL/dM * dM/dP with dM/dP = thetaM*M*(1-M), given
+// grad = dL/dM and the mask m = MaskSigmoid(P). A grad holding NaN or ±Inf
+// leaves p untouched, and MaskSigmoidStep reports false.
+func MaskSigmoidStep(thetaM, step float64, grad, m, p []float64) bool {
+	return maskStep(pixelVector, grad, m, p, step, thetaM)
+}
+
 // ResistSigmoid applies the paper's Eq. 2 element-wise:
 // T = 1/(1+exp(-tz*(I-Ith))). It runs on the same engine as MaskSigmoid.
 func ResistSigmoid(thetaZ, ith float64, aerial []float64, t []float64) {

@@ -47,7 +47,7 @@ func CheckRaster(w, h int, p Params) error {
 	if w <= 0 || h <= 0 {
 		return fmt.Errorf("litho: invalid raster %dx%d", w, h)
 	}
-	ks := MaxKernelSize(BuildKernelBank(p))
+	ks := bankKernelSize(p)
 	if pw, ph := fft.NextPow2(w+ks-1), fft.NextPow2(h+ks-1); pw > MaxTransformSide || ph > MaxTransformSide {
 		return fmt.Errorf("litho: raster %dx%d needs a %dx%d transform, above the %d limit",
 			w, h, pw, ph, MaxTransformSide)
@@ -116,10 +116,7 @@ func (s *Simulator) Aerial(mask []float64, out []float64, fields *Fields) {
 		}
 		s.plan.ApplySpecWith(s.fs, spec, s.kffts[k], dst, false)
 		s.clock.Charge(simclock.CostConvolution, 1)
-		w := s.bank[k].Weight
-		for i, a := range dst {
-			out[i] += w * a * a
-		}
+		accumSquares(pixelVector, out, dst, s.bank[k].Weight)
 	}
 }
 
@@ -143,11 +140,7 @@ func (s *Simulator) AerialBackward(gradI []float64, fields *Fields, gradMask []f
 		acc[i] = 0
 	}
 	for k := range s.bank {
-		w := s.bank[k].Weight
-		amp := fields.Amp[k]
-		for i := range s.acc {
-			s.acc[i] = 2 * w * gradI[i] * amp[i]
-		}
+		weightField(pixelVector, s.acc, gradI, fields.Amp[k], 2*s.bank[k].Weight)
 		spec := s.plan.ForwardInto(s.fs, s.acc)
 		fft.AccumulateConj(acc, spec, s.kffts[k])
 		s.clock.Charge(simclock.CostConvolution, 1)
@@ -164,10 +157,7 @@ func (s *Simulator) Resist(aerial []float64, out []float64) {
 // ResistBackward converts dL/dT into dL/dI for the sigmoid resist:
 // dT/dI = tz * T * (1-T). It overwrites gradI.
 func (s *Simulator) ResistBackward(gradT, t []float64, gradI []float64) {
-	tz := s.P.ThetaZ
-	for i := range gradI {
-		gradI[i] = gradT[i] * tz * t[i] * (1 - t[i])
-	}
+	resistBackward(pixelVector, gradT, t, gradI, s.P.ThetaZ)
 }
 
 // PrintedImage runs the full single-mask forward model (aerial + resist) and
@@ -185,20 +175,16 @@ func (s *Simulator) PrintedImage(mask *grid.Grid) *grid.Grid {
 
 // ComposeDouble writes the double-patterning printed image
 // T = min(T1+T2, 1) (Eq. 3) into out, and returns, via the boolean raster
-// sat, which pixels were clamped (the gradient is zero there).
+// sat, which pixels were clamped (the gradient is zero there). sat may be
+// nil.
 func ComposeDouble(t1, t2, out []float64, sat []bool) {
-	for i := range out {
-		v := t1[i] + t2[i]
-		if v > 1 {
-			out[i] = 1
-			if sat != nil {
-				sat[i] = true
-			}
-		} else {
-			out[i] = v
-			if sat != nil {
-				sat[i] = false
-			}
-		}
-	}
+	composeDouble(pixelVector, t1, t2, out, sat)
+}
+
+// ComposeDoubleBackward writes into gradT the gradient of the image loss
+// L = sum (T - target)^2 with respect to either mask's resist image, for
+// the T that ComposeDouble wrote with its sat: 2*(T - target) where Eq. 3
+// did not clamp, and +0 where it did.
+func ComposeDoubleBackward(t, target []float64, sat []bool, gradT []float64) {
+	composeBackward(pixelVector, t, target, sat, gradT)
 }

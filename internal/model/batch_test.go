@@ -66,7 +66,7 @@ func TestPredictBatchIntoMatchesPredictBatch(t *testing.T) {
 }
 
 // TestPredictBatchIntoSteadyStateAllocs is the CI alloc gate for the
-// coalesced prediction path: once warm at a batch size, scoring
+// path every PredictBatch call takes: once warm at a batch size, scoring
 // input-size images into caller memory allocates nothing.
 func TestPredictBatchIntoSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {

@@ -80,7 +80,8 @@ go test -run='^$' -fuzz='^FuzzReadShard$' -fuzztime=10s -fuzzminimizetime=20x ./
 # batch permute pass), TestFrozenForwardLeavesInput and
 # TestFrozenLanesForwardConcurrently. BenchmarkAerialCell, one Aerial plus
 # one AerialBackward on the 4 nm and 8 nm cell rasters, is the benchmark
-# that sizes a row- or column-pass FFT change, and BenchmarkPredictR18, two
+# that sizes a row- or column-pass FFT change and a change to the per-pixel
+# kernels of Aerial and AerialBackward, and BenchmarkPredictR18, two
 # 224² ResNet-18 candidates on two lanes, the one that sizes a GEMM or
 # frozen-layer change; their smokes keep them running.
 go test -timeout 120s -run='ZeroAlloc|SteadyStateAllocs|HotPathZeroAlloc|Under15MB' ./internal/fft ./internal/litho ./internal/ilt ./internal/nn ./internal/tensor ./internal/model
@@ -91,13 +92,13 @@ go test -run='^$' -bench='^BenchmarkPredictR18$' -benchtime=2x ./internal/model
 
 # Vector-kernel gates. go vet's asmdecl pass cross-checks every assembly
 # function against its Go declaration (frame size, argument offsets); run it
-# explicitly over the packages carrying the .s files (FFT, sigmoid, GEMM) so
-# the gate is visible even if the repo-wide vet above ever narrows. The FFT
-# row core (fftFirstSweepAVX's bit-reversed reads and radix-2x2 first sweep,
-# fftStage2AVX's two stages per sweep) is held to the scalar transformWith
-# by TestVecTransformBitIdentical and TestVecRFFTRowBitIdentical on rows
-# planted with signed zeros and subnormals, and on zero-only rows, in the
-# full suite above; the column kernels fftRows2AVX/fftRows1AVX, Nyquist
+# explicitly over the packages carrying the .s files (FFT, litho's sigmoid
+# and per-pixel kernels, GEMM) so the gate is visible even if the repo-wide
+# vet above ever narrows. The FFT row core (fftFirstSweepAVX's bit-reversed
+# reads and radix-2x2 first sweep, fftStage2AVX's two stages per sweep) is
+# held to the scalar transformWith by TestVecTransformBitIdentical and
+# TestVecRFFTRowBitIdentical on rows planted with signed zeros and
+# subnormals, and on zero-only rows, in the full suite above; the column kernels fftRows2AVX/fftRows1AVX, Nyquist
 # column included, by TestColumnPassMatchesStripOracle. The GEMM engine has
 # three strip kernels, picked by the CPU probe: the AVX-512 4x16 tile
 # kern4x16AVX512 (opmask column tail), the AVX 4x8 tile kern4x8AVX (masked
@@ -108,14 +109,22 @@ go test -run='^$' -bench='^BenchmarkPredictR18$' -benchtime=2x ./internal/model
 # TestBlockedMatMulMatchesNaive, TestConvPackedMatchesNaive (the frozen
 # conv's entry, which fills each B panel straight from the NCHW input, held
 # to Im2ColBatch+MatMul over strides, padding, kernel sizes, batches and
-# panel edges) and FuzzGEMM switch the engine through each of them. The FFT
-# engine-equivalence, sigmoid and GEMM fuzz seeds get a smoke run; FuzzGEMM
-# holds every GEMM entry on every engine to the naive loops bitwise. The
+# panel edges) and FuzzGEMM switch the engine through each of them. The
+# per-pixel kernels of the ILT iteration (accumSquaresAVX and weightFieldAVX
+# around the aerial image, resistBackwardAVX, composeDoubleAVX with its
+# clamp bools, composeBackwardAVX, finiteAVX and maskStepAVX) are held to
+# their Go loops by TestPixelKernelsMatchScalar over every length 0-11,
+# unaligned starts and the cell rasters with ±0, subnormals, ±1e300, ±Inf
+# and NaN planted, by TestFiniteMatchesFiniteSlice and by
+# TestPixelWrappersPanicOnShortSlice, in the full suite above. The FFT
+# engine-equivalence, sigmoid, per-pixel and GEMM fuzz seeds get a smoke
+# run; FuzzGEMM holds every GEMM entry on every engine to the naive loops
+# bitwise, and FuzzPixelKernels every per-pixel kernel to its loop. The
 # sigmoid kernel mirrors math.Exp's FMA branch; GODEBUG=cpu.fma=off moves
 # math.Exp to its SSE branch, and the second litho run checks that the init
 # probe then falls back to the scalar loop. Then the spectral and NN suites
 # and their consumers run as a 386 build, which compiles the pure-Go FFT,
-# GEMM and sigmoid engines — the only ones on non-amd64 hosts — so that
+# GEMM, sigmoid and per-pixel loops — the only ones on non-amd64 hosts — so that
 # fallback cannot rot; the nn and model suites hold it to the same
 # predictor score golden as the vector engines. The artifact
 # reader rides along: 32-bit ints are where a length claim overflows a slice.
@@ -127,6 +136,7 @@ go vet ./internal/litho
 go vet ./internal/tensor
 go test -run='^$' -fuzz='^FuzzVecEquivalence$' -fuzztime=10s ./internal/fft
 go test -run='^$' -fuzz='^FuzzSigmoid$' -fuzztime=10s ./internal/litho
+go test -run='^$' -fuzz='^FuzzPixelKernels$' -fuzztime=10s ./internal/litho
 go test -run='^$' -fuzz='^FuzzGEMM$' -fuzztime=10s ./internal/tensor
 GODEBUG=cpu.fma=off go test -timeout 300s ./internal/litho
 GODEBUG=cpu.fma=off go test -timeout 300s -run FlowMaskBitsGolden ./internal/core
